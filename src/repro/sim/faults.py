@@ -537,7 +537,7 @@ def run_gathering_faulted_reference(
 # ----------------------------------------------------------------------
 
 def _iter_compiled_faulted(
-    tree: Tree,
+    schedule: list[tuple[int, Tree]],
     plan: FaultPlan,
     compileds: list,
     starts: list[int],
@@ -550,10 +550,11 @@ def _iter_compiled_faulted(
 
     Relabel segments swap the move tables only: the transition tables
     are keyed on ``(stride, degree set)``, both labeling-invariant, so
-    one compilation serves every segment.
+    one compilation serves every segment.  ``schedule`` is the plan's
+    :meth:`FaultPlan.labeling_schedule`, drawn once by the caller: a
+    sweep steps many choices through the same schedule.
     """
     k = len(starts)
-    schedule = plan.labeling_schedule(tree)
     tables = [t.flat_move_tables() for _, t in schedule]
     seg = 0
     stride, deg, move_to, move_in = tables[0]
@@ -652,7 +653,8 @@ def run_rendezvous_faulted_compiled(
     power = 1
 
     rounds = _iter_compiled_faulted(
-        tree, plan, [compiled, compiled2], [start1, start2], [sr1, sr2], max_rounds
+        plan.labeling_schedule(tree), plan, [compiled, compiled2],
+        [start1, start2], [sr1, sr2], max_rounds,
     )
     pos, st, ip, started = [start1, start2], [0, 0], [0, 0], [False, False]
     for rnd, pos, st, ip, started, acts in rounds:
@@ -727,7 +729,8 @@ def run_gathering_faulted_compiled(
     power = 1
 
     rounds = _iter_compiled_faulted(
-        tree, plan, [compiled] * k, list(starts), delay_list, max_rounds
+        plan.labeling_schedule(tree), plan, [compiled] * k, list(starts),
+        delay_list, max_rounds,
     )
     pos = list(starts)
     for rnd, pos, st, ip, started, _acts in rounds:
@@ -870,11 +873,11 @@ def solve_all_delays_faulted(
 
     compiled = compile_agent(prototype, tree)
     compiled2 = compiled if prototype2 is None else compile_agent(prototype2, tree)
-    final_tree = plan.labeling_schedule(tree)[-1][1]
+    schedule = plan.labeling_schedule(tree)
     crashed_agents = {c.agent for c in plan.crashes}
     has_crashes = bool(crashed_agents)
     resolve = _faulted_resolver(
-        _frozen_steppers([compiled, compiled2], final_tree, crashed_agents),
+        _frozen_steppers([compiled, compiled2], schedule[-1][1], crashed_agents),
         lambda cfg: cfg[0] == cfg[3],
         max_configs,
     )
@@ -889,7 +892,7 @@ def solve_all_delays_faulted(
             met_at: Optional[int] = None
             pos = st = ip = None
             for rnd, pos, st, ip, _started, _acts in _iter_compiled_faulted(
-                tree, plan, [compiled, compiled2], [start1, start2],
+                schedule, plan, [compiled, compiled2], [start1, start2],
                 [sr1, sr2], prefix,
             ):
                 if pos[0] == pos[1]:
@@ -948,11 +951,11 @@ def solve_gathering_faulted(
     k = len(starts)
 
     compileds = [compile_agent(p, tree) for p in protos]
-    final_tree = plan.labeling_schedule(tree)[-1][1]
+    schedule = plan.labeling_schedule(tree)
     crashed_agents = {c.agent for c in plan.crashes}
     has_crashes = bool(crashed_agents)
     resolve = _faulted_resolver(
-        _frozen_steppers(compileds, final_tree, crashed_agents),
+        _frozen_steppers(compileds, schedule[-1][1], crashed_agents),
         lambda cfg: all(cfg[3 * i] == cfg[0] for i in range(1, k)),
         max_configs,
     )
@@ -967,7 +970,7 @@ def solve_gathering_faulted(
         met_at: Optional[int] = None
         pos = st = ip = None
         for rnd, pos, st, ip, _started, _acts in _iter_compiled_faulted(
-            tree, plan, compileds, starts, delays, prefix
+            schedule, plan, compileds, starts, delays, prefix
         ):
             if all(p == pos[0] for p in pos):
                 met_at = rnd

@@ -346,6 +346,28 @@ class TestFaultedParity:
             )
             assert v.certified_never == ref.certified_never
 
+    def test_sweep_draws_each_relabel_once(self, monkeypatch):
+        """A sweep draws its labeling schedule once, not once per
+        (θ, side) choice: two relabels cost two automorphism-checked
+        draws however long the sweep."""
+        from repro.sim import faults
+
+        calls = []
+        original = faults._respectful_relabel
+
+        def counting(tree, base_symmetric, seed):
+            calls.append(seed)
+            return original(tree, base_symmetric, seed)
+
+        monkeypatch.setattr(faults, "_respectful_relabel", counting)
+        plan = FaultPlan(relabels=(RelabelFault(3, 1), RelabelFault(6, 2)))
+        verdicts = solve_all_delays_faulted(
+            edge_colored_line(9), alternator(), 0, 5, max_delay=63,
+            faults=plan,
+        )
+        assert len(verdicts) == 127
+        assert calls == [1, 2]
+
 
 class TestFaultScenarios:
     """The registered fault scenarios run identically on both backends
