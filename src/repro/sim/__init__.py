@@ -20,7 +20,9 @@ Interchangeable backends execute rendezvous runs:
 
 Every runner accepts ``faults=`` — a :class:`FaultPlan` of crash-stop,
 pause, and adversarial-relabel faults (:mod:`repro.sim.faults`) —
-dispatched to faulted twins that keep reference/compiled parity.  Long
+dispatched to faulted twins that keep reference/compiled parity.
+Faulted sweeps ride the frontier kernel like fault-free ones; the
+faulted twins of the sweep solvers are its fallback and oracle.  Long
 grids run under the supervised pool (:mod:`repro.sim.supervise`):
 per-job timeouts, retry with backoff, worker respawn, structured
 :class:`JobFailure` rows, and checkpointed resume.

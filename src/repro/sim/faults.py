@@ -39,7 +39,11 @@ each adversary choice simulates its faulted prefix through the horizon,
 then resolves the reached configuration against a fate memo shared
 across the whole grid — the post-horizon dynamics (final labeling,
 crashed agents frozen) are choice-independent, so the memo is valid
-grid-wide and the solvers stay exact.
+grid-wide and the solvers stay exact.  Faulted sweeps normally run on
+the vectorized frontier kernel (:mod:`repro.sim.kernel`), which reuses
+this module's labeling schedule and scalar prefix; the twins are its
+fallback (no numpy, ``REPRO_KERNEL=0``, oversized tables, budget trips,
+invalid transitions) and the oracle its parity suite checks against.
 
 Outcomes gain a ``crashed`` field (the agents whose crash had fired by
 the final executed round) and the sweep verdicts a ``crashed`` flag, so
@@ -51,6 +55,7 @@ from healthy never-meeting all the way up to the scenario rows
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -223,16 +228,31 @@ class FaultPlan:
     def labeling_schedule(self, tree: Tree) -> list[tuple[int, Tree]]:
         """``[(first_round, labeled_tree), ...]`` — the tree in force from
         each round on.  Deterministic in ``(tree, plan)``; the base
-        labeling always opens the schedule at round 1."""
-        schedule = [(1, tree)]
+        labeling always opens the schedule at round 1.
+
+        The relabeled trees are drawn once per (tree, relabels) and
+        memoized weakly on the tree, so every call returns the same
+        ``Tree`` objects and per-tree memos keyed on them (compiled and
+        kernel tables) keep hitting across the pairs of a sweep.
+        """
         if not self.relabels:
-            return schedule
-        base_symmetric = is_symmetric_labeling(tree)
-        cur = tree
-        for rf in self.relabels:
-            cur = _respectful_relabel(cur, base_symmetric, rf.seed)
-            schedule.append((rf.round, cur))
-        return schedule
+            return [(1, tree)]
+        try:
+            per_tree = _SCHEDULE_CACHE.setdefault(tree, {})
+        except TypeError:  # pragma: no cover - tree not weak-referenceable
+            per_tree = {}
+        tail = per_tree.get(self.relabels)
+        if tail is None:
+            base_symmetric = is_symmetric_labeling(tree)
+            cur = tree
+            drawn = []
+            for rf in self.relabels:
+                cur = _respectful_relabel(cur, base_symmetric, rf.seed)
+                # The base tree itself (a failed draw) is stored as None:
+                # a value holding its own key would never be collected.
+                drawn.append((rf.round, None if cur is tree else cur))
+            tail = per_tree[self.relabels] = tuple(drawn)
+        return [(1, tree)] + [(rnd, tree if t is None else t) for rnd, t in tail]
 
     # -- serialization ------------------------------------------------
 
@@ -332,6 +352,11 @@ class FaultPlan:
         raise SimulationError(
             f"cannot build a fault plan from {type(value).__name__}"
         )
+
+
+# tree -> {relabels: ((round, relabeled tree or None), ...)}; weak on the
+# tree, so schedules die with their tree (cf. the kernel's _TABLE_CACHE).
+_SCHEDULE_CACHE: "weakref.WeakKeyDictionary[Tree, dict]" = weakref.WeakKeyDictionary()
 
 
 def _respectful_relabel(tree: Tree, base_symmetric: bool, seed: int) -> Tree:
@@ -601,6 +626,30 @@ def _iter_compiled_faulted(
                 pos[i] = move_to[base]
                 ip[i] = move_in[base] + 1
         yield rnd, pos, st, ip, started, acts
+
+
+def _faulted_prefix(
+    schedule: list[tuple[int, Tree]],
+    plan: FaultPlan,
+    compileds: list,
+    starts: list[int],
+    start_rounds: list[int],
+    last_round: int,
+) -> tuple[Optional[int], Optional[tuple]]:
+    """One adversary choice's faulted prefix, rounds ``1 .. last_round``.
+
+    Returns ``(rnd, None)`` for the first round ``rnd`` that ends with
+    every agent on one node, else ``(None, entry)``: the joint
+    configuration after ``last_round`` as flat ``(pos, state, ip)``
+    triples, agent-major.
+    """
+    k = len(starts)
+    for rnd, pos, st, ip, _started, _acts in _iter_compiled_faulted(
+        schedule, plan, compileds, starts, start_rounds, last_round
+    ):
+        if pos.count(pos[0]) == k:
+            return rnd, None
+    return None, tuple(x for i in range(k) for x in (pos[i], st[i], ip[i]))
 
 
 def run_rendezvous_faulted_compiled(
@@ -889,22 +938,16 @@ def solve_all_delays_faulted(
             sr1 = theta if side == 1 else 0
             sr2 = theta if side == 2 else 0
             prefix = max(theta, plan.horizon) + 1
-            met_at: Optional[int] = None
-            pos = st = ip = None
-            for rnd, pos, st, ip, _started, _acts in _iter_compiled_faulted(
+            met_at, entry = _faulted_prefix(
                 schedule, plan, [compiled, compiled2], [start1, start2],
                 [sr1, sr2], prefix,
-            ):
-                if pos[0] == pos[1]:
-                    met_at = rnd
-                    break
+            )
             if met_at is not None:
                 out[(theta, side)] = DelayVerdict(
                     theta, side, True, met_at, False,
                     bool(plan.crashed_by(met_at)),
                 )
                 continue
-            entry = (pos[0], st[0], ip[0], pos[1], st[1], ip[1])
             met, dist = resolve(entry)
             if met:
                 out[(theta, side)] = DelayVerdict(
@@ -967,14 +1010,9 @@ def solve_gathering_faulted(
             out.append(GatheringVerdict(key, True, 0, False))
             continue
         prefix = max(max(delays), plan.horizon) + 1
-        met_at: Optional[int] = None
-        pos = st = ip = None
-        for rnd, pos, st, ip, _started, _acts in _iter_compiled_faulted(
+        met_at, entry = _faulted_prefix(
             schedule, plan, compileds, starts, delays, prefix
-        ):
-            if all(p == pos[0] for p in pos):
-                met_at = rnd
-                break
+        )
         if met_at is not None:
             out.append(
                 GatheringVerdict(
@@ -982,7 +1020,6 @@ def solve_gathering_faulted(
                 )
             )
             continue
-        entry = tuple(x for i in range(k) for x in (pos[i], st[i], ip[i]))
         met, dist = resolve(entry)
         if met:
             out.append(

@@ -29,13 +29,26 @@ sweep actually gathers from the pages it needs.  A corrupt or truncated
 cache file is quarantined to ``<name>.corrupt`` and rebuilt — the same
 contract as :class:`~repro.scenarios.store.ResultStore`.
 
+Fault plans (:class:`~repro.sim.faults.FaultPlan`) run on the kernel
+as a schedule indexed by round.  Each labeling segment of the plan's
+relabel schedule gets its own successor table, so a relabel is a table
+switch at the segment's first round; a pause or crash makes an agent's
+round an identity step, and past the plan horizon a crashed agent
+steps through an identity table.  A delay sweep steps each runner's
+solo walk once per (pair, side) on these round-indexed tables and
+enters every choice with θ at or past the horizon in bulk; the few
+choices below the horizon, and every gathering vector, take the scalar
+faulted prefix.  All lanes then share one frontier on the post-horizon
+tables, with Brent anchoring after ``max(θ, horizon) + 1``.
+
 The dict solvers stay the oracle: :func:`solve_all_delays_auto` /
 :func:`solve_gathering_auto` run the kernel when it applies (numpy
-present, ``REPRO_KERNEL != 0``, fault-free, tables within the memory
-cap) and fall back to the dict solver on anything else — including the
-kernel's own budget guard tripping, so explicit caller budgets keep the
-dict solver's exact semantics on every path.  Verdict parity is
-asserted by ``tests/properties/test_kernel_parity.py``.
+present, ``REPRO_KERNEL != 0``, tables within the memory cap) and fall
+back to the dict solver — the faulted twin under a fault plan — on
+anything else, including the kernel's own budget guard tripping, so
+explicit caller budgets keep the dict solver's exact semantics on every
+path.  Verdict parity, ``crashed`` flags included, is asserted by
+``tests/properties/test_kernel_parity.py``.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from __future__ import annotations
 import hashlib
 import os
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -59,6 +73,7 @@ from ..errors import BudgetExceededError, SimulationError
 from ..telemetry import current as _telemetry
 from ..trees.tree import Tree
 from .compiled import _INVALID, DelayVerdict, compile_agent, solve_all_delays
+from .faults import FaultPlan, _faulted_prefix
 from .gathering_solver import GatheringVerdict, solve_gathering
 from .multi import _validate
 
@@ -349,6 +364,93 @@ def agent_table(automaton: Automaton, tree: Tree) -> AgentTable:
     return table
 
 
+class _RoundTables:
+    """A fault plan's successor tables on one tree, indexed by round.
+
+    Every labeling segment of ``plan.labeling_schedule(tree)`` gets its
+    own :class:`AgentTable` per agent, built from the same compiled
+    tables (transitions do not depend on the labeling, only moves do),
+    so a relabel is a table switch at the segment's first round.
+    :meth:`op` names the table agent ``i`` steps with in round ``rnd``,
+    or ``None`` while a pause or crash freezes it.  ``post`` are the
+    tables past the horizon: the final labeling's, or an identity table
+    for a crashed agent, whose configuration never changes again.
+    ``_MAX_TABLE_ENTRIES`` caps the sum of all of them.
+    """
+
+    def __init__(self, tree: Tree, plan: FaultPlan, protos: Sequence[Automaton]):
+        self.plan = plan
+        self.schedule = plan.labeling_schedule(tree)
+        self.rounds = [rnd for rnd, _t in self.schedule]
+        self.compileds = [compile_agent(p, tree) for p in protos]
+        self.n = tree.n
+        self.width = tree.flat_move_tables()[0] + 1
+        self.crashed = crashed = {c.agent for c in plan.crashes}
+        sizes = {id(c): c.automaton.num_states * self.n * self.width
+                 for c in self.compileds}
+        total = sum(sizes.values()) * len(self.schedule) + sum(
+            sizes[id(self.compileds[i])] for i in crashed
+        )
+        if total > _MAX_TABLE_ENTRIES:
+            raise KernelUnsupported(
+                f"round-indexed tables would hold {total} entries "
+                f"(cap {_MAX_TABLE_ENTRIES}); dict solver handles this instance"
+            )
+        self.segs = [
+            [agent_table(p, seg_tree) for _rnd, seg_tree in self.schedule]
+            for p in protos
+        ]
+        self.post = [
+            _identity_table(segs[-1]) if i in crashed else segs[-1]
+            for i, segs in enumerate(self.segs)
+        ]
+
+    def op(self, agent: int, rnd: int) -> Optional[AgentTable]:
+        if self.plan.frozen_in_round(agent, rnd):
+            return None
+        return self.segs[agent][bisect_right(self.rounds, rnd) - 1]
+
+    def ops(self, agent: int, last_round: int) -> list[Optional[AgentTable]]:
+        """``[op(agent, rnd) for rnd in 1 .. last_round]``; past the
+        horizon every round is the same op."""
+        head = min(last_round, self.plan.horizon + 1)
+        steady = None if agent in self.crashed else self.segs[agent][-1]
+        return [self.op(agent, rnd) for rnd in range(1, head + 1)] + [
+            steady
+        ] * (last_round - head)
+
+    def ids(self, entry: tuple) -> list[int]:
+        """Flat ``(pos, state, ip)`` triples -> per-agent table ids."""
+        n, width = self.n, self.width
+        return [
+            (entry[j + 1] * n + entry[j]) * width + entry[j + 2]
+            for j in range(0, len(entry), 3)
+        ]
+
+
+def _faulted_budget(max_configs: int, lanes: int) -> int:
+    """The frontier budget that keeps a faulted sweep's guard at least
+    as strict as the dict faulted solver's.
+
+    The dict resolver counts distinct configurations, meeting ones
+    included; the frontier counts live-lane steps.  The distinct
+    non-meeting configurations never outnumber the lane steps, and each
+    lane ends on at most one meeting configuration, so a frontier that
+    stays within ``max_configs - lanes`` proves the dict solver would
+    not have tripped.  A trip falls back to the dict solver, which then
+    decides or raises exactly as it does on its own.
+    """
+    return max_configs - lanes
+
+
+def _identity_table(table: AgentTable) -> AgentTable:
+    """A table whose every id steps to itself (a crashed agent)."""
+    return AgentTable(
+        _np.arange(table.size, dtype=_np.int32), table.start_ids,
+        table.n, table.width, table.num_states,
+    )
+
+
 # ----------------------------------------------------------------------
 # The frontier loop
 # ----------------------------------------------------------------------
@@ -584,6 +686,69 @@ def _solo_batch_scalar(table: AgentTable, starts, sleep, max_delay: int):
     return mat, fh
 
 
+def _faulted_solo(rt: _RoundTables, agent: int, starts, sleep, max_delay: int):
+    """Runner solo prefixes under a fault plan: the contract of
+    :func:`_solo_batch_scalar`, but each round steps with that round's
+    table (:meth:`_RoundTables.op`) and a frozen round is an identity
+    step.  The runner has no delay, so it starts in the first round no
+    pause or crash freezes; until then its id is its start node with
+    state 0 and no entry port, as the faulted loops hold it."""
+    n, width = rt.n, rt.width
+    ops = rt.ops(agent, max_delay + 1)
+    mat = _np.empty((max_delay + 1, starts.size), dtype=_np.int64)
+    fh = _np.zeros(starts.size, dtype=_np.int64)
+    for w in range(starts.size):
+        start, target = int(starts[w]), int(sleep[w])
+        cur = start * width
+        started = False
+        ids = []
+        for t, table in enumerate(ops, 1):
+            if table is not None:
+                cur = int(table.succ[cur] if started else table.start_ids[start])
+                started = True
+                if cur < 0:
+                    raise KernelUnsupported(
+                        "solo prefix reached an invalid transition entry"
+                    )
+            ids.append(cur)
+            if t <= max_delay and (cur // width) % n == target:
+                fh[w] = t
+                break
+        mat[:len(ids), w] = ids
+        mat[len(ids):, w] = ids[-1]  # frozen tail, never read past first_hit
+    return mat, fh
+
+
+def _faulted_head(rt: _RoundTables, s1, s2, side: int, lo: int, stop: int,
+                  met_blk, round_blk, crash_blk):
+    """Choices ``θ in [lo, stop)``, below the plan horizon, through the
+    scalar faulted prefix (:func:`~repro.sim.faults._faulted_prefix`).
+    A meeting inside the prefix fills its block cell; every other choice
+    becomes a lane entering after round ``horizon + 1``.  Returns the
+    lanes as ``(scatter, agent-0 ids, agent-1 ids)``."""
+    plan = rt.plan
+    last_round = plan.horizon + 1
+    cols = met_blk.shape[1]
+    scatter, ids0, ids1 = [], [], []
+    for w in range(len(s1)):
+        starts = [int(s1[w]), int(s2[w])]
+        for theta in range(lo, stop):
+            met_at, entry = _faulted_prefix(
+                rt.schedule, plan, rt.compileds, starts,
+                [theta, 0] if side == 1 else [0, theta], last_round,
+            )
+            if met_at is not None:
+                round_blk[w, theta - lo] = met_at
+                crash_blk[w, theta - lo] = bool(plan.crashed_by(met_at))
+                continue
+            a, b = rt.ids(entry)
+            scatter.append(w * cols + theta - lo)
+            ids0.append(a)
+            ids1.append(b)
+    return (_np.asarray(scatter, dtype=_np.int64),
+            _np.asarray(ids0, dtype=_np.int64), _np.asarray(ids1, dtype=_np.int64))
+
+
 def solve_delay_grid_kernel(
     tree: Tree,
     prototype: Automaton,
@@ -593,6 +758,7 @@ def solve_delay_grid_kernel(
     delayed_sides: Sequence[int] = (1, 2),
     max_configs: int = 4_000_000,
     prototype2: Optional[Automaton] = None,
+    faults=None,
 ) -> list[list[DelayVerdict]]:
     """Decide whole delay sweeps for *many* start pairs in one frontier.
 
@@ -603,14 +769,36 @@ def solve_delay_grid_kernel(
     granted per pair (the grid call may spend ``max_configs *
     len(pairs)`` lane-steps total), matching a per-pair dict-solver
     loop's aggregate budget.
+
+    Under ``faults`` (a :class:`~repro.sim.faults.FaultPlan`) the
+    verdicts equal :func:`~repro.sim.faults.solve_all_delays_faulted`'s,
+    ``crashed`` included.  The runner's solo walk does not depend on θ,
+    so it is stepped once per (pair, side) on round-indexed tables
+    (:class:`_RoundTables`).  Choices with θ at or past the plan horizon
+    enter the frontier in bulk: the sleeper starts on the final
+    labeling, or stays at its node if it crashed.  The few choices with
+    θ below the horizon take the scalar faulted prefix.  All lanes then
+    run on the post-horizon tables.
     """
     _require_kernel()
+    plan = FaultPlan.coerce(faults)
+    if plan is not None:
+        plan.validate_for(2)
     sides = list(dict.fromkeys(delayed_sides))
     _check_delay_args(tree, prototype, prototype2, pairs, max_delay, sides)
     zero_side = 2 if 2 in sides else sides[0]
 
-    t1 = agent_table(prototype, tree)
-    t2 = t1 if prototype2 is None else agent_table(prototype2, tree)
+    if plan is None:
+        t1 = agent_table(prototype, tree)
+        t2 = t1 if prototype2 is None else agent_table(prototype2, tree)
+        post = (t1, t2)
+        horizon = 0
+    else:
+        rt = _RoundTables(
+            tree, plan, (prototype, prototype if prototype2 is None else prototype2)
+        )
+        post = rt.post
+        horizon = plan.horizon
 
     live = [i for i, (a, b) in enumerate(pairs) if a != b]
     num_live = len(live)
@@ -619,60 +807,97 @@ def solve_delay_grid_kernel(
     s1 = _np.asarray([pairs[i][0] for i in live], dtype=_np.int64)
     s2 = _np.asarray([pairs[i][1] for i in live], dtype=_np.int64)
 
-    # One batched solo-prefix pass per delayed side; each side's block
-    # holds its walks' verdict slots in (walk, θ) order — lanes where
-    # the joint fate is still open, short-circuit cells (θ >= first_hit
-    # meets at round first_hit) prefilled.
+    # One solo-prefix pass per delayed side; each side's block holds its
+    # walks' verdict slots in (walk, θ) order — lanes where the joint
+    # fate is still open, short-circuit cells (θ >= first_hit meets at
+    # round first_hit) prefilled.  Lane columns are agent-major.
     lane_ids1, lane_ids2 = [], []
-    block_meta = []  # (side, lo, met_block, round_block, lane_scatter...)
+    block_meta = []  # (side, lo, met, round, crashed blocks, scatter, entry round)
     for side in sides:
         lo = 0 if side == zero_side else 1
         width_cols = max_delay + 1 - lo
         if width_cols <= 0:
             continue
-        runner_t, sleeper_t = (t1, t2) if side == 2 else (t2, t1)
+        runner, sleeper = (0, 1) if side == 2 else (1, 0)
         runner_starts = s1 if side == 2 else s2
         sleeper_starts = s2 if side == 2 else s1
-        rows, fh = _solo_batch(runner_t, runner_starts, sleeper_starts, max_delay)
-        sleeper_entry = sleeper_t.start_ids[sleeper_starts].astype(_np.int64)
+        if plan is None:
+            rows, fh = _solo_batch(post[runner], runner_starts, sleeper_starts,
+                                   max_delay)
+            sleeper_entry = post[sleeper].start_ids[sleeper_starts].astype(_np.int64)
+        else:
+            rows, fh = _faulted_solo(rt, runner, runner_starts, sleeper_starts,
+                                     max_delay)
+            sleeper_entry = (
+                sleeper_starts * rt.width if sleeper in rt.crashed
+                else rt.segs[sleeper][-1].start_ids[sleeper_starts].astype(_np.int64)
+            )
 
+        bulk_lo = max(lo, horizon)
         hi = _np.where(fh > 0, fh - 1, max_delay)
-        counts = _np.maximum(hi - lo + 1, 0)
+        counts = _np.maximum(hi - bulk_lo + 1, 0)
         total = int(counts.sum())
         walk = _np.repeat(_np.arange(num_live, dtype=_np.int64), counts)
         offs = _np.cumsum(counts) - counts
-        theta = _np.arange(total, dtype=_np.int64) - offs[walk] + lo
+        theta = _np.arange(total, dtype=_np.int64) - offs[walk] + bulk_lo
         runner_ids = rows[theta, walk]
         sleeper_ids = sleeper_entry[walk]
-        lane_ids1.append(runner_ids if side == 2 else sleeper_ids)
-        lane_ids2.append(sleeper_ids if side == 2 else runner_ids)
+        ids1, ids2 = ((runner_ids, sleeper_ids) if side == 2
+                      else (sleeper_ids, runner_ids))
+        scatter = walk * width_cols + (theta - lo)
+        entry_round = theta + 1
 
         met_blk = _np.ones((num_live, width_cols), dtype=bool)
         round_blk = _np.repeat(fh[:, None], width_cols, axis=1)
-        block_meta.append((side, lo, met_blk, round_blk,
-                           walk * width_cols + (theta - lo), theta))
+        crash_blk = _np.zeros((num_live, width_cols), dtype=bool)
+        if plan is not None:
+            crash_blk[:] = _np.asarray(
+                [bool(plan.crashed_by(int(r))) for r in fh], dtype=bool
+            )[:, None]
+            if bulk_lo > lo:
+                h_scatter, h_ids1, h_ids2 = _faulted_head(
+                    rt, s1, s2, side, lo, min(bulk_lo, max_delay + 1),
+                    met_blk, round_blk, crash_blk,
+                )
+                scatter = _np.concatenate([scatter, h_scatter])
+                ids1 = _np.concatenate([ids1, h_ids1])
+                ids2 = _np.concatenate([ids2, h_ids2])
+                entry_round = _np.concatenate([
+                    entry_round,
+                    _np.full(len(h_scatter), horizon + 1, dtype=_np.int64),
+                ])
+        lane_ids1.append(ids1)
+        lane_ids2.append(ids2)
+        block_meta.append((side, lo, met_blk, round_blk, crash_blk,
+                           scatter, entry_round))
 
+    lanes1 = _np.concatenate(lane_ids1)
+    budget = max_configs * max(1, len(pairs))
+    if plan is not None:
+        budget = _faulted_budget(budget, len(lanes1))
     met, dist, _und = _joint_fates(
-        (t1, t2),
-        (_np.concatenate(lane_ids1), _np.concatenate(lane_ids2)),
-        max_configs=max_configs * max(1, len(pairs)),
+        post, (lanes1, _np.concatenate(lane_ids2)), max_configs=budget,
     )
 
     # Scatter lane fates into the blocks, stitch blocks into the dict
     # solver's θ-major output order, and materialize verdicts in bulk.
+    has_crashes = plan is not None and bool(plan.crashes)
     pos = 0
-    for _side, _lo, met_blk, round_blk, scatter, theta in block_meta:
+    for _side, _lo, met_blk, round_blk, crash_blk, scatter, entry_round in block_meta:
         m = met[pos:pos + len(scatter)]
         d = dist[pos:pos + len(scatter)]
         pos += len(scatter)
         met_blk.flat[scatter] = m
-        round_blk.flat[scatter] = _np.where(m, theta + 1 + d, -1)
+        round_blk.flat[scatter] = _np.where(m, entry_round + d, -1)
+        if has_crashes:
+            crash_blk.flat[scatter] = True
 
     met_cat = _np.concatenate([b[2] for b in block_meta], axis=1)
     round_cat = _np.concatenate([b[3] for b in block_meta], axis=1)
+    crash_cat = _np.concatenate([b[4] for b in block_meta], axis=1)
     col_of = {}
     off = 0
-    for side, lo, met_blk, _r, _s, _t in block_meta:
+    for side, lo, met_blk, *_rest in block_meta:
         for th in range(lo, max_delay + 1):
             col_of[(th, side)] = off + (th - lo)
         off += met_blk.shape[1]
@@ -682,11 +907,12 @@ def solve_delay_grid_kernel(
     perm = _np.asarray([col_of[k] for k in out_keys], dtype=_np.int64)
     met_flat = met_cat[:, perm].ravel().tolist()
     round_flat = round_cat[:, perm].ravel().tolist()
+    crash_flat = crash_cat[:, perm].ravel().tolist()
 
     keys_tiled = out_keys * num_live
     verdicts = [
-        DelayVerdict(th, sd, m, mr if m else None, not m)
-        for (th, sd), m, mr in zip(keys_tiled, met_flat, round_flat)
+        DelayVerdict(th, sd, m, mr if m else None, not m, c)
+        for (th, sd), m, mr, c in zip(keys_tiled, met_flat, round_flat, crash_flat)
     ]
 
     stride = len(out_keys)
@@ -710,19 +936,48 @@ def solve_all_delays_kernel(
     delayed_sides: Sequence[int] = (1, 2),
     max_configs: int = 4_000_000,
     prototype2: Optional[Automaton] = None,
+    faults=None,
 ) -> list[DelayVerdict]:
-    """Vectorized drop-in for :func:`repro.sim.compiled.solve_all_delays`
-    (fault-free): every (θ, side) lane of one pair advances per step."""
+    """Vectorized drop-in for :func:`repro.sim.compiled.solve_all_delays`,
+    ``faults`` included: every (θ, side) lane of one pair advances per
+    step."""
     return solve_delay_grid_kernel(
         tree, prototype, [(start1, start2)],
         max_delay=max_delay, delayed_sides=delayed_sides,
-        max_configs=max_configs, prototype2=prototype2,
+        max_configs=max_configs, prototype2=prototype2, faults=faults,
     )[0]
 
 
 # ----------------------------------------------------------------------
 # Gathering grids
 # ----------------------------------------------------------------------
+
+
+def _gathering_prefix(tables, starts, delays, n):
+    """Fault-free staggered prefix in id space, rounds ``1 .. max(delays)
+    + 1``: ``(rnd, None)`` if the agents gather in round ``rnd``, else
+    ``(None, ids)`` after the last round."""
+    k = len(starts)
+    ids = [0] * k
+    started = [False] * k
+    pos = list(starts)
+    for rnd in range(1, max(delays) + 2):
+        for i in range(k):
+            if started[i]:
+                nxt = int(tables[i].succ[ids[i]])
+                if nxt < 0:
+                    raise KernelUnsupported(
+                        "prefix reached an invalid transition entry"
+                    )
+                ids[i] = nxt
+                pos[i] = (nxt // tables[i].width) % n
+            elif rnd > delays[i]:
+                started[i] = True
+                ids[i] = int(tables[i].start_ids[pos[i]])
+                pos[i] = (ids[i] // tables[i].width) % n
+        if all(p == pos[0] for p in pos):
+            return rnd, None
+    return None, ids
 
 
 def solve_gathering_kernel(
@@ -733,15 +988,23 @@ def solve_gathering_kernel(
     *,
     max_configs: int = 4_000_000,
     prototypes: Optional[Sequence[Automaton]] = None,
+    faults=None,
 ) -> list[GatheringVerdict]:
     """Vectorized drop-in for
-    :func:`repro.sim.gathering_solver.solve_gathering` (fault-free).
+    :func:`repro.sim.gathering_solver.solve_gathering`, ``faults``
+    included.
 
-    Staggered prefixes (agents still waking up) replay in id space per
-    vector; the fully-started entry configurations are deduplicated and
-    resolved in one k-agent frontier.
+    Staggered prefixes (agents still waking up) replay per vector; the
+    fully-started entry configurations are deduplicated and resolved in
+    one k-agent frontier.  Under ``faults`` each prefix is the scalar
+    faulted one (:func:`~repro.sim.faults._faulted_prefix`) through
+    ``max(max(delays), horizon) + 1``, and the frontier runs on the
+    post-horizon tables of :class:`_RoundTables`; the verdicts equal
+    :func:`~repro.sim.faults.solve_gathering_faulted`'s, ``crashed``
+    included.
     """
     _require_kernel()
+    plan = FaultPlan.coerce(faults)
     starts = list(starts)
     protos = list(prototypes) if prototypes is not None else [prototype] * len(starts)
     if len(protos) != len(starts):
@@ -753,45 +1016,40 @@ def solve_gathering_kernel(
             )
     vectors = [list(_validate(tree, starts, vec)) for vec in delay_vectors]
     k = len(starts)
-    tables = [agent_table(p, tree) for p in protos]
+    if plan is None:
+        tables = [agent_table(p, tree) for p in protos]
+    else:
+        plan.validate_for(k)
+        rt = _RoundTables(tree, plan, protos)
+        tables = rt.post
     n = tree.n
 
     # Entry dedup: grids share entry configurations heavily (the dict
     # solver's memo exploits the same structure).
     entry_lane: dict[tuple[int, ...], int] = {}
     entry_cols: list[list[int]] = [[] for _ in range(k)]
-    # per vector: ("done", verdict) or ("lane", lane_index, first_joint)
-    plan: list[tuple] = []
+    # per vector: ("done", verdict) or ("lane", lane_index, first_joint, key)
+    items: list[tuple] = []
 
     for delays in vectors:
         key = tuple(delays)
         if len(set(starts)) == 1:
-            plan.append(("done", GatheringVerdict(key, True, 0, False)))
+            items.append(("done", GatheringVerdict(key, True, 0, False)))
             continue
-        first_joint = max(delays) + 1
-        ids = [0] * k
-        started = [False] * k
-        pos = list(starts)
-        gathered_at: Optional[int] = None
-        for rnd in range(1, first_joint + 1):
-            for i in range(k):
-                if started[i]:
-                    nxt = int(tables[i].succ[ids[i]])
-                    if nxt < 0:
-                        raise KernelUnsupported(
-                            "prefix reached an invalid transition entry"
-                        )
-                    ids[i] = nxt
-                    pos[i] = (nxt // tables[i].width) % n
-                elif rnd > delays[i]:
-                    started[i] = True
-                    ids[i] = int(tables[i].start_ids[pos[i]])
-                    pos[i] = (ids[i] // tables[i].width) % n
-            if all(p == pos[0] for p in pos):
-                gathered_at = rnd
-                break
+        if plan is None:
+            first_joint = max(delays) + 1
+            gathered_at, ids = _gathering_prefix(tables, starts, delays, n)
+        else:
+            first_joint = max(max(delays), plan.horizon) + 1
+            gathered_at, entry = _faulted_prefix(
+                rt.schedule, plan, rt.compileds, starts, delays, first_joint
+            )
+            ids = None if entry is None else rt.ids(entry)
         if gathered_at is not None:
-            plan.append(("done", GatheringVerdict(key, True, gathered_at, False)))
+            crashed = plan is not None and bool(plan.crashed_by(gathered_at))
+            items.append(
+                ("done", GatheringVerdict(key, True, gathered_at, False, crashed))
+            )
             continue
         entry = tuple(ids)
         lane = entry_lane.get(entry)
@@ -800,22 +1058,26 @@ def solve_gathering_kernel(
             entry_lane[entry] = lane
             for i in range(k):
                 entry_cols[i].append(entry[i])
-        plan.append(("lane", lane, first_joint, key))
+        items.append(("lane", lane, first_joint, key))
 
-    met, dist, _und = _joint_fates(
-        tables, entry_cols, max_configs=max_configs
-    )
+    budget = max_configs
+    if plan is not None:
+        budget = _faulted_budget(budget, len(entry_cols[0]))
+    met, dist, _und = _joint_fates(tables, entry_cols, max_configs=budget)
 
+    has_crashes = plan is not None and bool(plan.crashes)
     out: list[GatheringVerdict] = []
-    for item in plan:
+    for item in items:
         if item[0] == "done":
             out.append(item[1])
             continue
         _tag, lane, first_joint, key = item
         if met[lane]:
-            out.append(GatheringVerdict(key, True, first_joint + int(dist[lane]), False))
+            out.append(GatheringVerdict(
+                key, True, first_joint + int(dist[lane]), False, has_crashes
+            ))
         else:
-            out.append(GatheringVerdict(key, False, None, True))
+            out.append(GatheringVerdict(key, False, None, True, has_crashes))
     return out
 
 
@@ -895,20 +1157,21 @@ def solve_all_delays_auto(
 ) -> list[DelayVerdict]:
     """Kernel-dispatched :func:`~repro.sim.compiled.solve_all_delays`.
 
-    Fault-free sweeps with numpy available ride the vectorized kernel;
-    everything else — faults, disabled kernel, oversized tables,
+    Sweeps with numpy available ride the vectorized kernel, fault plans
+    included; everything else — disabled kernel, oversized tables,
     invalid-transition lanes, or the kernel's own budget guard — runs
-    the dict solver, preserving its exact semantics (including raising
+    the dict solver (:func:`~repro.sim.faults.solve_all_delays_faulted`
+    under ``faults``), preserving its exact semantics (including raising
     :class:`~repro.errors.BudgetExceededError` only when the *dict*
     solver's guard genuinely trips).
     """
     t = _telemetry()
-    if faults is None and kernel_available():
+    if kernel_available():
         try:
             verdicts = solve_all_delays_kernel(
                 tree, prototype, start1, start2,
                 max_delay=max_delay, delayed_sides=delayed_sides,
-                max_configs=max_configs, prototype2=prototype2,
+                max_configs=max_configs, prototype2=prototype2, faults=faults,
             )
             if t.enabled:
                 t.count("kernel.dispatch.delays.kernel")
@@ -941,11 +1204,11 @@ def solve_gathering_auto(
     :func:`~repro.sim.gathering_solver.solve_gathering` (see
     :func:`solve_all_delays_auto` for the dispatch rules)."""
     t = _telemetry()
-    if faults is None and kernel_available():
+    if kernel_available():
         try:
             verdicts = solve_gathering_kernel(
                 tree, prototype, starts, delay_vectors,
-                max_configs=max_configs, prototypes=prototypes,
+                max_configs=max_configs, prototypes=prototypes, faults=faults,
             )
             if t.enabled:
                 t.count("kernel.dispatch.gathering.kernel")

@@ -16,30 +16,46 @@ starts) instances:
 - a ``max_configs`` budget trip never changes semantics: the auto
   wrapper's verdicts equal the dict solver's under the same guard, and
   both raise :class:`~repro.errors.BudgetExceededError` for the same
-  genuinely-too-small guards.
+  genuinely-too-small guards;
+- fault plans: the kernel (and the auto wrapper) equals
+  :func:`~repro.sim.faults.solve_all_delays_faulted` /
+  :func:`~repro.sim.faults.solve_gathering_faulted` field for field,
+  ``crashed`` included — choices below and past the plan horizon,
+  pauses over the sleeper's start, crashes before it starts, lowered
+  register programs, and budget trips.
 """
 
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_fault_parity import fault_plans
 
-from repro.agents import Automaton
+from repro.agents import Automaton, alternator, counting_walker
 from repro.agents.library import counting_program, pausing_program
 from repro.agents.lowering import lowered_for
 from repro.errors import BudgetExceededError
+from repro.scenarios.backends import _lowered_for_faults
 from repro.sim import (
+    CrashFault,
+    FaultPlan,
+    PauseFault,
+    RelabelFault,
     run_rendezvous,
     solve_all_delays,
     solve_all_delays_auto,
+    solve_all_delays_faulted,
     solve_all_delays_kernel,
     solve_delay_grid_kernel,
     solve_gathering,
+    solve_gathering_auto,
+    solve_gathering_faulted,
     solve_gathering_kernel,
 )
 from repro.sim.traced import lasso_automaton, solo_trace
-from repro.trees import random_relabel, random_tree
+from repro.trees import edge_colored_line, line, random_relabel, random_tree
 
 
 @st.composite
@@ -209,3 +225,200 @@ def test_grid_kernel_equals_per_pair(instance, max_delay, seed):
     ]
     grid = solve_delay_grid_kernel(tree, agent, pairs, max_delay=max_delay)
     assert grid == per_pair
+
+
+# ----------------------------------------------------------------------
+# Fault plans: kernel == faulted dict solvers, crashed flags included
+# ----------------------------------------------------------------------
+
+
+def _outcome(fn, *args, **kwargs):
+    """Verdicts, or the BudgetExceededError class when the guard trips."""
+    try:
+        return fn(*args, **kwargs)
+    except BudgetExceededError:
+        return BudgetExceededError
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), fault_plans(), st.integers(0, 10),
+       st.sampled_from([(1, 2), (2, 1), (1,), (2,)]))
+def test_faulted_kernel_equals_faulted_dict_solver(instance, plan, max_delay, sides):
+    """``max_delay`` up to 10 against horizons up to 8: sweeps hold
+    choices below the horizon (scalar prefix), at and past it (bulk)."""
+    tree, agent, u, v = instance
+    dict_v = solve_all_delays_faulted(
+        tree, agent, u, v, max_delay=max_delay, faults=plan,
+        delayed_sides=sides,
+    )
+    kern_v = solve_all_delays_kernel(
+        tree, agent, u, v, max_delay=max_delay, faults=plan,
+        delayed_sides=sides,
+    )
+    auto_v = solve_all_delays_auto(
+        tree, agent, u, v, max_delay=max_delay, faults=plan,
+        delayed_sides=sides,
+    )
+    assert kern_v == dict_v
+    assert auto_v == dict_v
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances(), fault_plans(), st.integers(0, 8), st.integers(0, 2**20))
+def test_faulted_kernel_heterogeneous_prototype2(instance, plan, max_delay, seed):
+    tree, agent, u, v = instance
+    rng = random.Random(seed)
+    k2 = rng.randrange(1, 4)
+    dmax = tree.max_degree()
+    table2 = {
+        (s, ip, d): rng.randrange(k2)
+        for s in range(k2)
+        for ip in range(-1, dmax)
+        for d in range(1, dmax + 1)
+    }
+    other = Automaton(k2, table2, [rng.randrange(-1, 3) for _ in range(k2)])
+    dict_v = solve_all_delays_faulted(
+        tree, agent, u, v, max_delay=max_delay, faults=plan, prototype2=other
+    )
+    kern_v = solve_all_delays_auto(
+        tree, agent, u, v, max_delay=max_delay, faults=plan, prototype2=other
+    )
+    assert kern_v == dict_v
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances(max_n=7), st.integers(2, 3), st.integers(0, 2**20),
+       st.data())
+def test_faulted_gathering_kernel_equals_dict_solver(instance, k, seed, data):
+    tree, agent, _u, _v = instance
+    plan = data.draw(fault_plans(num_agents=k))
+    rng = random.Random(seed)
+    starts = [rng.randrange(tree.n) for _ in range(k)]
+    vectors = [[rng.randrange(4) for _ in range(k)] for _ in range(6)]
+    dict_v = solve_gathering_faulted(tree, agent, starts, vectors, faults=plan)
+    kern_v = solve_gathering_kernel(tree, agent, starts, vectors, faults=plan)
+    auto_v = solve_gathering_auto(tree, agent, starts, vectors, faults=plan)
+    assert kern_v == dict_v
+    assert auto_v == dict_v
+
+
+@settings(max_examples=25, deadline=None)
+@given(instances(max_n=7), fault_plans(), st.integers(0, 6),
+       st.integers(0, 40))
+def test_faulted_budget_trip_preserves_dict_semantics(instance, plan, max_delay, budget):
+    """Tiny ``max_configs``: the auto wrapper gives the faulted dict
+    solver's verdicts when it fits and its BudgetExceededError when
+    not — the kernel's own accounting never leaks through."""
+    tree, agent, u, v = instance
+    expected = _outcome(
+        solve_all_delays_faulted, tree, agent, u, v,
+        max_delay=max_delay, faults=plan, max_configs=budget,
+    )
+    got = _outcome(
+        solve_all_delays_auto, tree, agent, u, v,
+        max_delay=max_delay, faults=plan, max_configs=budget,
+    )
+    assert got == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(instances(max_n=7), st.integers(0, 2**20), st.integers(0, 30),
+       st.data())
+def test_faulted_gathering_budget_trip(instance, seed, budget, data):
+    tree, agent, _u, _v = instance
+    plan = data.draw(fault_plans(num_agents=3))
+    rng = random.Random(seed)
+    starts = [rng.randrange(tree.n) for _ in range(3)]
+    vectors = [[rng.randrange(3) for _ in range(3)] for _ in range(4)]
+    expected = _outcome(
+        solve_gathering_faulted, tree, agent, starts, vectors,
+        faults=plan, max_configs=budget,
+    )
+    got = _outcome(
+        solve_gathering_auto, tree, agent, starts, vectors,
+        faults=plan, max_configs=budget,
+    )
+    assert got == expected
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**20), st.integers(0, 8),
+       st.booleans(), fault_plans())
+def test_faulted_kernel_lowered_programs(n, seed, max_delay, use_counting, plan):
+    """Register programs take full behavioral lowering under faults
+    (``_lowered_for_faults``) and then the same kernel path."""
+    rng = random.Random(seed)
+    tree = random_relabel(random_tree(n, rng), rng)
+    program = counting_program(2) if use_counting else pausing_program(2)
+    lowered = _lowered_for_faults(program, tree)
+    u, v = rng.randrange(n), rng.randrange(n)
+    dict_v = solve_all_delays_faulted(
+        tree, lowered, u, v, max_delay=max_delay, faults=plan
+    )
+    kern_v = solve_all_delays_kernel(
+        tree, lowered, u, v, max_delay=max_delay, faults=plan
+    )
+    assert kern_v == dict_v
+
+
+@settings(max_examples=10, deadline=None)
+@given(instances(max_n=7), fault_plans(), st.integers(0, 6), st.integers(0, 2**20))
+def test_faulted_grid_kernel_equals_per_pair(instance, plan, max_delay, seed):
+    tree, agent, _u, _v = instance
+    rng = random.Random(seed)
+    pairs = [
+        (rng.randrange(tree.n), rng.randrange(tree.n)) for _ in range(5)
+    ]
+    per_pair = [
+        solve_all_delays_faulted(
+            tree, agent, u, v, max_delay=max_delay, faults=plan
+        )
+        for u, v in pairs
+    ]
+    grid = solve_delay_grid_kernel(
+        tree, agent, pairs, max_delay=max_delay, faults=plan
+    )
+    assert grid == per_pair
+
+
+# Named cases the random plans may or may not hit.
+_NAMED_PLANS = {
+    # the sweep spans θ < horizon (scalar prefix) and θ >= horizon (bulk)
+    "relabels": FaultPlan(relabels=(RelabelFault(3, 1), RelabelFault(6, 2))),
+    # sleeper (agent 1 when side 2 sleeps) paused over rounds 2..4, which
+    # covers its start round for θ in 1..3 and defers the start
+    "pause-over-sleeper-start": FaultPlan(pauses=(PauseFault(1, 2, 3),)),
+    # the runner paused at round 1: its own start is deferred
+    "pause-over-runner-start": FaultPlan(pauses=(PauseFault(0, 1, 2),)),
+    # agent 1 crashes at round 3, before it starts for every θ >= 2
+    "crash-before-sleeper-start": FaultPlan(crashes=(CrashFault(1, 3),)),
+    # the runner crashes mid-walk, then relabels land
+    "crash-runner-then-relabel": FaultPlan(
+        crashes=(CrashFault(0, 4),), relabels=(RelabelFault(5, 7),)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED_PLANS))
+@pytest.mark.parametrize("agent_name", ["alternator", "counting"])
+def test_faulted_kernel_named_plans(name, agent_name):
+    plan = _NAMED_PLANS[name]
+    agent = alternator() if agent_name == "alternator" else counting_walker(2)
+    tree = edge_colored_line(11)
+    for u, v in [(0, 5), (3, 10), (6, 2)]:
+        dict_v = solve_all_delays_faulted(
+            tree, agent, u, v, max_delay=2 * plan.horizon + 6, faults=plan
+        )
+        kern_v = solve_all_delays_kernel(
+            tree, agent, u, v, max_delay=2 * plan.horizon + 6, faults=plan
+        )
+        assert kern_v == dict_v
+        assert any(d.delay < plan.horizon for d in kern_v)
+        assert any(d.delay >= plan.horizon for d in kern_v)
+    if plan.crashes:
+        assert any(d.crashed for d in kern_v)
+    starts = (0, 2, 7)
+    vectors = [(0, 0, 0), (0, 1, 2), (3, 0, 1), (1, 4, 0)]
+    assert solve_gathering_kernel(
+        line(11), agent, starts, vectors, faults=plan
+    ) == solve_gathering_faulted(line(11), agent, starts, vectors, faults=plan)

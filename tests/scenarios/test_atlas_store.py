@@ -119,15 +119,23 @@ class TestRoundTrip:
             out = atlas.export("verify-small", tmp_path / "exported")
         assert out.read_bytes() == loose.read_bytes()
 
-    def test_import_tree_golden_round_trip(self, db, tmp_path):
+    def test_import_tree_golden_round_trip(self, db, result, tmp_path):
+        # A results tree built here, not the working tree's
+        # benchmarks/results/: the checked-in goldens under golden/ plus
+        # a freshly saved verify-small at the top level.
+        tree = tmp_path / "results"
+        (tree / "golden").mkdir(parents=True)
+        for golden in GOLDEN.glob("*.json"):
+            (tree / "golden" / golden.name).write_bytes(golden.read_bytes())
+        ResultStore(tree).save(result)
         with AtlasStore(db) as store:
-            names = store.import_tree(RESULTS)
+            names = store.import_tree(tree)
             assert "golden/verify-small" in names
             assert "verify-small" in names
             exported = store.export_all(tmp_path / "out")
         for path in exported:
             rel = path.relative_to(tmp_path / "out")
-            assert path.read_bytes() == (RESULTS / rel).read_bytes()
+            assert path.read_bytes() == (tree / rel).read_bytes()
 
     def test_import_paths_mixes_files_and_dirs(self, db):
         with AtlasStore(db) as store:

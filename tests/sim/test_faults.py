@@ -349,7 +349,9 @@ class TestFaultedParity:
     def test_sweep_draws_each_relabel_once(self, monkeypatch):
         """A sweep draws its labeling schedule once, not once per
         (θ, side) choice: two relabels cost two automorphism-checked
-        draws however long the sweep."""
+        draws however long the sweep.  The seeds appear nowhere else in
+        the suite, so no earlier test has memoized this schedule; a
+        second sweep on the same tree reuses it."""
         from repro.sim import faults
 
         calls = []
@@ -360,13 +362,19 @@ class TestFaultedParity:
             return original(tree, base_symmetric, seed)
 
         monkeypatch.setattr(faults, "_respectful_relabel", counting)
-        plan = FaultPlan(relabels=(RelabelFault(3, 1), RelabelFault(6, 2)))
+        plan = FaultPlan(
+            relabels=(RelabelFault(3, 9101), RelabelFault(6, 9202))
+        )
+        tree = edge_colored_line(9)
         verdicts = solve_all_delays_faulted(
-            edge_colored_line(9), alternator(), 0, 5, max_delay=63,
-            faults=plan,
+            tree, alternator(), 0, 5, max_delay=63, faults=plan,
         )
         assert len(verdicts) == 127
-        assert calls == [1, 2]
+        assert calls == [9101, 9202]
+        solve_all_delays_faulted(
+            tree, alternator(), 1, 6, max_delay=63, faults=plan,
+        )
+        assert calls == [9101, 9202]
 
 
 class TestFaultScenarios:

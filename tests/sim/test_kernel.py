@@ -336,3 +336,122 @@ def test_kernel_budget_guard_trips():
     agent = pausing_walker(2)
     with pytest.raises(BudgetExceededError):
         solve_all_delays_kernel(tree, agent, 0, 29, max_delay=64, max_configs=5)
+
+
+# ----------------------------------------------------------------------
+# Fault plans on the kernel, and every degrade path run
+# ----------------------------------------------------------------------
+
+
+def _faulted_specs():
+    from repro.scenarios.spec import DelayPolicy, ScenarioSpec
+
+    delays = ScenarioSpec(
+        name="kernel-faulted-delays", kind="delay_sweep", tree="colored:9",
+        agent="alternator", pairs=((0, 5), (2, 7)),
+        delays=DelayPolicy.sweep(12),
+        params={"faults": {"relabels": [[3, 1], [6, 2]],
+                           "pauses": [[1, 2, 2]]}},
+    )
+    gathering = ScenarioSpec(
+        name="kernel-faulted-gathering", kind="gathering_sweep",
+        agent="counting:2",
+        params={
+            "trees": ["line:9", "line:12"],
+            "start_sets": [[0, 1, 3], [0, 2, 4]],
+            "delay_vectors": [[0, 0, 0], [0, 1, 2], [1, 0, 2], [2, 0, 1]],
+            "faults": {"crashes": [[2, 6]], "pauses": [[0, 2, 2]],
+                       "relabels": [[4, 3]]},
+        },
+    )
+    return {"delays": delays, "gathering": gathering}
+
+
+@pytest.mark.parametrize("solver", ["delays", "gathering"])
+def test_faulted_sweep_degrade_paths_give_identical_rows(solver, monkeypatch):
+    """One faulted sweep three ways — on the kernel, under
+    ``REPRO_KERNEL=0``, and with numpy gone — must give identical rows,
+    and the dispatch counters must say which path ran."""
+    from repro.scenarios import Runner
+    from repro.telemetry import Telemetry
+
+    spec = _faulted_specs()[solver]
+    kernel_key = f"kernel.dispatch.{solver}.kernel"
+    dict_key = f"kernel.dispatch.{solver}.dict"
+
+    def run():
+        telem = Telemetry()
+        result = Runner(backend="auto").run(spec, telemetry=telem)
+        assert result.ok
+        return result.rows, telem.snapshot()["counters"]
+
+    rows, counters = run()
+    assert counters.get(kernel_key, 0) > 0
+    assert counters.get(dict_key, 0) == 0
+
+    with monkeypatch.context() as m:
+        m.setenv("REPRO_KERNEL", "0")
+        off_rows, off_counters = run()
+    assert off_rows == rows
+    assert off_counters.get(kernel_key, 0) == 0
+    assert off_counters.get(dict_key, 0) == counters[kernel_key]
+
+    with monkeypatch.context() as m:
+        m.setattr(kernel_mod, "_np", None)
+        assert not kernel_available()
+        bare_rows, bare_counters = run()
+    assert bare_rows == rows
+    assert bare_counters.get(kernel_key, 0) == 0
+    assert bare_counters.get(dict_key, 0) == counters[kernel_key]
+
+
+def test_faulted_auto_falls_back_when_segment_tables_exceed_cap(monkeypatch):
+    """The cap covers the sum of a plan's segment tables: each table
+    fits on its own, the three labeling segments together do not."""
+    from repro.sim import FaultPlan, RelabelFault, solve_all_delays_faulted
+
+    tree = edge_colored_line(9)
+    agent = pausing_walker(2)
+    plan = FaultPlan(relabels=(RelabelFault(3, 1), RelabelFault(6, 2)))
+    one_table = agent_table(agent, tree).size
+    expected = solve_all_delays_faulted(
+        tree, agent, 0, 5, max_delay=9, faults=plan
+    )
+    monkeypatch.setattr(kernel_mod, "_MAX_TABLE_ENTRIES", 2 * one_table)
+    with pytest.raises(KernelUnsupported):
+        solve_all_delays_kernel(tree, agent, 0, 5, max_delay=9, faults=plan)
+    assert solve_all_delays_auto(
+        tree, agent, 0, 5, max_delay=9, faults=plan
+    ) == expected
+
+
+def test_faulted_kernel_surfaces_invalid_transitions():
+    """An invalid transition on the faulted kernel falls back to the
+    faulted dict solver, which raises the agent's genuine error."""
+    from repro.sim import FaultPlan, PauseFault
+
+    stayer = Automaton(1, {}, [-1])
+    plan = FaultPlan(pauses=(PauseFault(0, 1, 2),))
+    with pytest.raises(RuntimeError):
+        solve_all_delays_auto(
+            line(3), _raising_mover(), 0, 2, max_delay=10,
+            delayed_sides=(2,), prototype2=stayer, faults=plan,
+        )
+
+
+def test_faulted_sweeps_share_segment_tables_across_pairs():
+    """The labeling schedule is memoized on the tree, so a second pair's
+    sweep reuses the first pair's relabeled trees and their tables."""
+    from repro.sim import FaultPlan, RelabelFault
+    from repro.telemetry import Telemetry, use
+
+    tree = edge_colored_line(13)
+    agent = pausing_walker(3)
+    plan = FaultPlan(relabels=(RelabelFault(2, 5), RelabelFault(4, 6)))
+    telem = Telemetry()
+    with use(telem):
+        for u, v in [(0, 7), (1, 12), (4, 9)]:
+            solve_all_delays_auto(tree, agent, u, v, max_delay=8, faults=plan)
+    counters = telem.snapshot()["counters"]
+    assert counters["kernel.dispatch.delays.kernel"] == 3
+    assert counters["kernel.table.build"] == 3  # one per labeling segment
