@@ -720,15 +720,15 @@ def _faulted_solo(rt: _RoundTables, agent: int, starts, sleep, max_delay: int):
 
 
 def _faulted_head(rt: _RoundTables, s1, s2, side: int, lo: int, stop: int,
-                  met_blk, round_blk, crash_blk):
+                  round_blk, crash_blk):
     """Choices ``θ in [lo, stop)``, below the plan horizon, through the
     scalar faulted prefix (:func:`~repro.sim.faults._faulted_prefix`).
-    A meeting inside the prefix fills its block cell; every other choice
-    becomes a lane entering after round ``horizon + 1``.  Returns the
-    lanes as ``(scatter, agent-0 ids, agent-1 ids)``."""
+    A meeting inside the prefix fills its (prefilled met) block cells;
+    every other choice becomes a lane entering after round ``horizon +
+    1``.  Returns the lanes as ``(scatter, agent-0 ids, agent-1 ids)``."""
     plan = rt.plan
     last_round = plan.horizon + 1
-    cols = met_blk.shape[1]
+    cols = round_blk.shape[1]
     scatter, ids0, ids1 = [], [], []
     for w in range(len(s1)):
         starts = [int(s1[w]), int(s2[w])]
@@ -857,7 +857,7 @@ def solve_delay_grid_kernel(
             if bulk_lo > lo:
                 h_scatter, h_ids1, h_ids2 = _faulted_head(
                     rt, s1, s2, side, lo, min(bulk_lo, max_delay + 1),
-                    met_blk, round_blk, crash_blk,
+                    round_blk, crash_blk,
                 )
                 scatter = _np.concatenate([scatter, h_scatter])
                 ids1 = _np.concatenate([ids1, h_ids1])
