@@ -371,8 +371,8 @@ class _RoundTables:
     own :class:`AgentTable` per agent, built from the same compiled
     tables (transitions do not depend on the labeling, only moves do),
     so a relabel is a table switch at the segment's first round.
-    :meth:`op` names the table agent ``i`` steps with in round ``rnd``,
-    or ``None`` while a pause or crash freezes it.  ``post`` are the
+    :meth:`ops` names the table an agent steps with in each round, or
+    ``None`` while a pause or crash freezes it.  ``post`` are the
     tables past the horizon: the final labeling's, or an identity table
     for a crashed agent, whose configuration never changes again.
     ``_MAX_TABLE_ENTRIES`` caps the sum of all of them.
@@ -405,19 +405,18 @@ class _RoundTables:
             for i, segs in enumerate(self.segs)
         ]
 
-    def op(self, agent: int, rnd: int) -> Optional[AgentTable]:
-        if self.plan.frozen_in_round(agent, rnd):
-            return None
-        return self.segs[agent][bisect_right(self.rounds, rnd) - 1]
-
     def ops(self, agent: int, last_round: int) -> list[Optional[AgentTable]]:
-        """``[op(agent, rnd) for rnd in 1 .. last_round]``; past the
-        horizon every round is the same op."""
+        """The table ``agent`` steps with in each round ``1 ..
+        last_round``, ``None`` where it is frozen; past the horizon every
+        round is the same."""
+        segs = self.segs[agent]
         head = min(last_round, self.plan.horizon + 1)
-        steady = None if agent in self.crashed else self.segs[agent][-1]
-        return [self.op(agent, rnd) for rnd in range(1, head + 1)] + [
-            steady
-        ] * (last_round - head)
+        steady = None if agent in self.crashed else segs[-1]
+        return [
+            None if self.plan.frozen_in_round(agent, rnd)
+            else segs[bisect_right(self.rounds, rnd) - 1]
+            for rnd in range(1, head + 1)
+        ] + [steady] * (last_round - head)
 
     def ids(self, entry: tuple) -> list[int]:
         """Flat ``(pos, state, ip)`` triples -> per-agent table ids."""
@@ -689,7 +688,7 @@ def _solo_batch_scalar(table: AgentTable, starts, sleep, max_delay: int):
 def _faulted_solo(rt: _RoundTables, agent: int, starts, sleep, max_delay: int):
     """Runner solo prefixes under a fault plan: the contract of
     :func:`_solo_batch_scalar`, but each round steps with that round's
-    table (:meth:`_RoundTables.op`) and a frozen round is an identity
+    table (:meth:`_RoundTables.ops`) and a frozen round is an identity
     step.  The runner has no delay, so it starts in the first round no
     pause or crash freezes; until then its id is its start node with
     state 0 and no entry port, as the faulted loops hold it."""
@@ -828,6 +827,8 @@ def solve_delay_grid_kernel(
         else:
             rows, fh = _faulted_solo(rt, runner, runner_starts, sleeper_starts,
                                      max_delay)
+            # A sleeper crashed by the horizon never starts: it keeps
+            # its start node, state 0 and no entry port.
             sleeper_entry = (
                 sleeper_starts * rt.width if sleeper in rt.crashed
                 else rt.segs[sleeper][-1].start_ids[sleeper_starts].astype(_np.int64)
