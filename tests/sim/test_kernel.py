@@ -439,12 +439,13 @@ def test_faulted_kernel_surfaces_invalid_transitions():
         )
 
 
-def test_faulted_sweeps_share_segment_tables_across_pairs():
+def test_faulted_sweeps_share_segment_tables_across_pairs(monkeypatch):
     """The labeling schedule is memoized on the tree, so a second pair's
     sweep reuses the first pair's relabeled trees and their tables."""
     from repro.sim import FaultPlan, RelabelFault
     from repro.telemetry import Telemetry, use
 
+    monkeypatch.delenv("REPRO_KERNEL_CACHE", raising=False)  # no disk hits
     tree = edge_colored_line(13)
     agent = pausing_walker(3)
     plan = FaultPlan(relabels=(RelabelFault(2, 5), RelabelFault(4, 6)))
