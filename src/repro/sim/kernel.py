@@ -427,21 +427,6 @@ class _RoundTables:
         ]
 
 
-def _faulted_budget(max_configs: int, lanes: int) -> int:
-    """The frontier budget that keeps a faulted sweep's guard at least
-    as strict as the dict faulted solver's.
-
-    The dict resolver counts distinct configurations, meeting ones
-    included; the frontier counts live-lane steps.  The distinct
-    non-meeting configurations never outnumber the lane steps, and each
-    lane ends on at most one meeting configuration, so a frontier that
-    stays within ``max_configs - lanes`` proves the dict solver would
-    not have tripped.  A trip falls back to the dict solver, which then
-    decides or raises exactly as it does on its own.
-    """
-    return max_configs - lanes
-
-
 def _identity_table(table: AgentTable) -> AgentTable:
     """A table whose every id steps to itself (a crashed agent)."""
     return AgentTable(
@@ -473,12 +458,15 @@ def _joint_fates(
     undecided)`` arrays — ``dist[j]`` is steps after entry for meeting
     lanes, else ``-1``.
 
-    ``max_configs`` guards cumulative live-lane steps (the kernel's
-    analogue of the dict solver's distinct-configuration count); the
-    ``*_auto`` wrappers translate a trip back into dict-solver
-    semantics by falling back.  A lane gathering a ``-1`` successor
-    raises :class:`KernelUnsupported` — the dict solver re-runs the
-    instance so the automaton's genuine error surfaces.
+    ``max_configs`` bounds cumulative live-lane steps plus one per lane
+    entered.  The dict solver counts distinct configurations, meeting
+    ones included; its non-meeting ones never outnumber the lane steps,
+    and each lane ends on at most one meeting configuration, so a
+    frontier within the guard proves the dict solver would not have
+    tripped.  The ``*_auto`` wrappers translate a trip back into
+    dict-solver semantics by falling back.  A lane gathering a ``-1``
+    successor raises :class:`KernelUnsupported` — the dict solver
+    re-runs the instance so the automaton's genuine error surfaces.
     """
     k = len(tables)
     m = len(id_cols[0])
@@ -497,6 +485,7 @@ def _joint_fates(
     n = tables[0].n
 
     any_invalid = any(t.has_invalid for t in tables)
+    limit = None if max_configs is None else max_configs - m
     telem = _telemetry()
     step = 0  # rounds advanced past the entry configurations
     brent_steps = 0
@@ -538,7 +527,7 @@ def _joint_fates(
             brent_steps = 0
             brent_power <<= 1
         work += lanes.size
-        if max_configs is not None and work > max_configs:
+        if limit is not None and work > limit:
             if telem.enabled:
                 _note_frontier(telem, m, step, work, max_configs,
                                budget_exceeded=True)
@@ -631,7 +620,8 @@ def _solo_batch(table: AgentTable, runner_starts, sleeper_starts, max_delay: int
     starts = _np.asarray(runner_starts, dtype=_np.int64)
     sleep = _np.asarray(sleeper_starts, dtype=_np.int64)
     if starts.size <= 4:  # numpy per-op overhead dwarfs tiny batches
-        return _solo_batch_scalar(table, starts, sleep, max_delay)
+        return _solo_batch_scalar([table] * (max_delay + 1), n, width,
+                                  starts, sleep, max_delay)
     cur = table.start_ids[starts].astype(_np.int64)
     fh = _np.where((cur // width) % n == sleep, 1, 0)
     rows = [cur]
@@ -655,45 +645,16 @@ def _solo_batch(table: AgentTable, runner_starts, sleeper_starts, max_delay: int
     return _np.stack(rows), fh
 
 
-def _solo_batch_scalar(table: AgentTable, starts, sleep, max_delay: int):
+def _solo_batch_scalar(ops, n: int, width: int, starts, sleep, max_delay: int):
     """Per-walk scalar prefixes (same semantics as the batched pass);
     long single-pair sweeps step one int at a time instead of paying
-    numpy dispatch on one-element arrays every round."""
-    succ = table.succ
-    n, width = table.n, table.width
-    mat = _np.empty((max_delay + 1, starts.size), dtype=_np.int64)
-    fh = _np.zeros(starts.size, dtype=_np.int64)
-    for w in range(starts.size):
-        sid = int(table.start_ids[starts[w]])
-        target = int(sleep[w])
-        ids = [sid]
-        first_hit = 1 if (sid // width) % n == target else 0
-        t = 1
-        while t < (first_hit or max_delay + 1):
-            nxt = int(succ[ids[-1]])
-            if nxt < 0:
-                raise KernelUnsupported(
-                    "solo prefix reached an invalid transition entry"
-                )
-            t += 1
-            ids.append(nxt)
-            if not first_hit and t <= max_delay and (nxt // width) % n == target:
-                first_hit = t
-        fh[w] = first_hit
-        mat[:len(ids), w] = ids
-        mat[len(ids):, w] = ids[-1]  # frozen tail, never read past first_hit
-    return mat, fh
+    numpy dispatch on one-element arrays every round.
 
-
-def _faulted_solo(rt: _RoundTables, agent: int, starts, sleep, max_delay: int):
-    """Runner solo prefixes under a fault plan: the contract of
-    :func:`_solo_batch_scalar`, but each round steps with that round's
-    table (:meth:`_RoundTables.ops`) and a frozen round is an identity
-    step.  The runner has no delay, so it starts in the first round no
-    pause or crash freezes; until then its id is its start node with
-    state 0 and no entry port, as the faulted loops hold it."""
-    n, width = rt.n, rt.width
-    ops = rt.ops(agent, max_delay + 1)
+    ``ops[t - 1]`` is the table the runner steps with in round ``t``,
+    ``None`` where a pause or crash freezes it (an identity step).  The
+    runner has no delay, so it starts in its first unfrozen round; until
+    then its id is its start node with state 0 and no entry port, as
+    the faulted loops hold it."""
     mat = _np.empty((max_delay + 1, starts.size), dtype=_np.int64)
     fh = _np.zeros(starts.size, dtype=_np.int64)
     for w in range(starts.size):
@@ -825,8 +786,10 @@ def solve_delay_grid_kernel(
                                    max_delay)
             sleeper_entry = post[sleeper].start_ids[sleeper_starts].astype(_np.int64)
         else:
-            rows, fh = _faulted_solo(rt, runner, runner_starts, sleeper_starts,
-                                     max_delay)
+            rows, fh = _solo_batch_scalar(
+                rt.ops(runner, max_delay + 1), rt.n, rt.width,
+                runner_starts, sleeper_starts, max_delay,
+            )
             # A sleeper crashed by the horizon never starts: it keeps
             # its start node, state 0 and no entry port.
             sleeper_entry = (
@@ -872,12 +835,9 @@ def solve_delay_grid_kernel(
         block_meta.append((side, lo, met_blk, round_blk, crash_blk,
                            scatter, entry_round))
 
-    lanes1 = _np.concatenate(lane_ids1)
-    budget = max_configs * max(1, len(pairs))
-    if plan is not None:
-        budget = _faulted_budget(budget, len(lanes1))
     met, dist, _und = _joint_fates(
-        post, (lanes1, _np.concatenate(lane_ids2)), max_configs=budget,
+        post, (_np.concatenate(lane_ids1), _np.concatenate(lane_ids2)),
+        max_configs=max_configs * max(1, len(pairs)),
     )
 
     # Scatter lane fates into the blocks, stitch blocks into the dict
@@ -954,33 +914,6 @@ def solve_all_delays_kernel(
 # ----------------------------------------------------------------------
 
 
-def _gathering_prefix(tables, starts, delays, n):
-    """Fault-free staggered prefix in id space, rounds ``1 .. max(delays)
-    + 1``: ``(rnd, None)`` if the agents gather in round ``rnd``, else
-    ``(None, ids)`` after the last round."""
-    k = len(starts)
-    ids = [0] * k
-    started = [False] * k
-    pos = list(starts)
-    for rnd in range(1, max(delays) + 2):
-        for i in range(k):
-            if started[i]:
-                nxt = int(tables[i].succ[ids[i]])
-                if nxt < 0:
-                    raise KernelUnsupported(
-                        "prefix reached an invalid transition entry"
-                    )
-                ids[i] = nxt
-                pos[i] = (nxt // tables[i].width) % n
-            elif rnd > delays[i]:
-                started[i] = True
-                ids[i] = int(tables[i].start_ids[pos[i]])
-                pos[i] = (ids[i] // tables[i].width) % n
-        if all(p == pos[0] for p in pos):
-            return rnd, None
-    return None, ids
-
-
 def solve_gathering_kernel(
     tree: Tree,
     prototype: Automaton,
@@ -1037,15 +970,35 @@ def solve_gathering_kernel(
         if len(set(starts)) == 1:
             items.append(("done", GatheringVerdict(key, True, 0, False)))
             continue
-        if plan is None:
-            first_joint = max(delays) + 1
-            gathered_at, ids = _gathering_prefix(tables, starts, delays, n)
-        else:
+        if plan is not None:
             first_joint = max(max(delays), plan.horizon) + 1
             gathered_at, entry = _faulted_prefix(
                 rt.schedule, plan, rt.compileds, starts, delays, first_joint
             )
             ids = None if entry is None else rt.ids(entry)
+        else:
+            first_joint = max(delays) + 1
+            ids = [0] * k
+            started = [False] * k
+            pos = list(starts)
+            gathered_at = None
+            for rnd in range(1, first_joint + 1):
+                for i in range(k):
+                    if started[i]:
+                        nxt = int(tables[i].succ[ids[i]])
+                        if nxt < 0:
+                            raise KernelUnsupported(
+                                "prefix reached an invalid transition entry"
+                            )
+                        ids[i] = nxt
+                        pos[i] = (nxt // tables[i].width) % n
+                    elif rnd > delays[i]:
+                        started[i] = True
+                        ids[i] = int(tables[i].start_ids[pos[i]])
+                        pos[i] = (ids[i] // tables[i].width) % n
+                if all(p == pos[0] for p in pos):
+                    gathered_at = rnd
+                    break
         if gathered_at is not None:
             crashed = plan is not None and bool(plan.crashed_by(gathered_at))
             items.append(
@@ -1061,10 +1014,9 @@ def solve_gathering_kernel(
                 entry_cols[i].append(entry[i])
         items.append(("lane", lane, first_joint, key))
 
-    budget = max_configs
-    if plan is not None:
-        budget = _faulted_budget(budget, len(entry_cols[0]))
-    met, dist, _und = _joint_fates(tables, entry_cols, max_configs=budget)
+    met, dist, _und = _joint_fates(
+        tables, entry_cols, max_configs=max_configs
+    )
 
     has_crashes = plan is not None and bool(plan.crashes)
     out: list[GatheringVerdict] = []
