@@ -645,6 +645,7 @@ class BackendProtocolRule(ProjectRule):
         "run_many",
         "run_gathering_many",
         "sweep_delays",
+        "sweep_delay_pairs",
         "sweep_gathering",
         "run_pairs",
     )

@@ -51,6 +51,13 @@ exploration guard, degrading to budgeted per-run verdicts (undecided
 where unprovable — never a crash, never fake proof) when the guard
 trips.  A caller who bounds the sweep therefore gets a bounded sweep
 with the same verdict semantics on every backend.
+
+A ``delay_sweep`` hands all its start pairs on one tree to
+``sweep_delay_pairs`` (as grids hand theirs to ``run_pairs``).  The
+default is the per-pair ``sweep_delays`` loop; the compiled and auto
+backends decide unbudgeted sweeps of automata in one kernel frontier
+(:func:`repro.sim.kernel.solve_delay_grid_auto`) and keep the per-pair
+loop for register programs and explicit budgets.
 """
 
 from __future__ import annotations
@@ -88,6 +95,7 @@ from ..sim.kernel import (
     kernel_available,
     run_pairs_kernel,
     solve_all_delays_auto,
+    solve_delay_grid_auto,
     solve_gathering_auto,
 )
 from ..sim.traced import (
@@ -113,7 +121,7 @@ __all__ = [
 _SWEEP_BUDGET = 500_000
 
 
-def _note_dispatch(method: str, tier: str) -> None:
+def _note_dispatch(method: str, tier: str, calls: int = 1) -> None:
     """Record which execution tier a backend dispatch chose.
 
     Dispatch decisions were previously invisible: ``--backend auto``
@@ -123,7 +131,7 @@ def _note_dispatch(method: str, tier: str) -> None:
     """
     t = _telemetry()
     if t.enabled:
-        t.count(f"backend.dispatch.{method}.{tier}")
+        t.count(f"backend.dispatch.{method}.{tier}", calls)
 
 
 def _note_fallback(method: str, exc: BaseException) -> None:
@@ -233,7 +241,9 @@ class Backend(abc.ABC):
         here, configuration exploration in the exact solver — see the
         module docstring).  ``faults`` (an optional
         :class:`~repro.sim.faults.FaultPlan`) applies the same fault
-        schedule to every adversary choice.
+        schedule to every adversary choice.  A sweep over many start
+        pairs on one tree goes through :meth:`sweep_delay_pairs`, which
+        backends with a batched solver override instead.
         """
         budget = _SWEEP_BUDGET if max_rounds is None else max_rounds
         zero_side = 2 if 2 in sides else sides[0]
@@ -261,6 +271,36 @@ class Backend(abc.ABC):
                     )
                 )
         return verdicts
+
+    def sweep_delay_pairs(
+        self,
+        tree: Tree,
+        prototype: AgentBase,
+        pairs: Sequence[tuple[int, int]],
+        *,
+        max_delay: int,
+        sides: Sequence[int] = (1, 2),
+        max_rounds: Optional[int] = None,
+        faults=None,
+    ) -> list[list[DelayVerdict]]:
+        """:meth:`sweep_delays` for many start pairs on one tree: one
+        verdict list per pair, in input order.
+
+        The default implementation *is* that per-pair loop; the
+        compiled/auto backends override it to decide every pair in one
+        kernel frontier.  ``faults`` reaches :meth:`sweep_delays` only
+        when set, so subclasses whose ``sweep_delays`` predates the
+        keyword keep working on fault-free sweeps.
+        """
+        extra = {} if faults is None else {"faults": faults}
+        return [
+            self.sweep_delays(
+                tree, prototype, start1, start2,
+                max_delay=max_delay, sides=sides, max_rounds=max_rounds,
+                **extra,
+            )
+            for start1, start2 in pairs
+        ]
 
     def sweep_gathering(
         self,
@@ -414,6 +454,34 @@ def _sweep_delays_exact(
         return degrade()
 
 
+def _sweep_delay_pairs_exact(
+    backend: Backend, tree, prototype, pairs, max_delay, sides, max_rounds,
+    faults=None,
+) -> list[list[DelayVerdict]]:
+    """Every start pair of a delay sweep in one kernel frontier.
+
+    Unbudgeted sweeps of automata, fault plans included, ride
+    :func:`~repro.sim.kernel.solve_delay_grid_auto`, which falls back
+    pair by pair on its own.  Register programs and explicit budgets
+    keep the per-pair :meth:`Backend.sweep_delay_pairs` loop over
+    ``backend.sweep_delays``: their routes (traced lowering, degrade to
+    budgeted per-run execution) are per pair.
+    """
+    if max_rounds is not None or supports_compilation(prototype) != "native":
+        return Backend.sweep_delay_pairs(
+            backend, tree, prototype, pairs,
+            max_delay=max_delay, sides=sides, max_rounds=max_rounds,
+            faults=faults,
+        )
+    extra = {} if faults is None else {"faults": faults}
+    verdicts = solve_delay_grid_auto(
+        tree, prototype, pairs,
+        max_delay=max_delay, delayed_sides=tuple(sides), **extra,
+    )
+    _note_dispatch("sweep_delays", "exact", len(verdicts))
+    return verdicts
+
+
 def _sweep_gathering_exact(
     backend: Backend, tree, prototype, starts, delay_vectors, max_rounds,
     faults=None,
@@ -552,6 +620,15 @@ class CompiledBackend(Backend):
             max_rounds, faults,
         )
 
+    def sweep_delay_pairs(
+        self, tree, prototype, pairs, *, max_delay, sides=(1, 2),
+        max_rounds=None, faults=None,
+    ) -> list[list[DelayVerdict]]:
+        return _sweep_delay_pairs_exact(
+            self, tree, prototype, pairs, max_delay, sides, max_rounds,
+            faults,
+        )
+
     def sweep_gathering(
         self, tree, prototype, starts, delay_vectors, *, max_rounds=None,
         faults=None,
@@ -593,6 +670,15 @@ class AutoBackend(Backend):
             tree, prototype, start1, start2,
             max_delay=max_delay, sides=sides, max_rounds=max_rounds,
             faults=faults,
+        )
+
+    def sweep_delay_pairs(
+        self, tree, prototype, pairs, *, max_delay, sides=(1, 2),
+        max_rounds=None, faults=None,
+    ) -> list[list[DelayVerdict]]:
+        return _sweep_delay_pairs_exact(
+            self, tree, prototype, pairs, max_delay, sides, max_rounds,
+            faults,
         )
 
     def sweep_gathering(

@@ -158,15 +158,16 @@ def _delay_sweep(spec: ScenarioSpec, backend: Backend, rng: random.Random):
             tree = random_relabel(
                 tree, random.Random(derive_seed(spec.seed, "relabel", rep))
             )
-        for u, v in spec.pairs:
-            # Pass faults only when set: fault-free sweeps keep working
-            # against duck-typed backends that predate the kwarg.
-            extra = {} if faults is None else {"faults": faults}
-            verdicts = backend.sweep_delays(
-                tree, agent, u, v,
-                max_delay=max_delay, sides=spec.delays.sides,
-                max_rounds=max_rounds, **extra,
-            )
+        # Every pair on this tree in one call, so exact backends decide
+        # them in one frontier.  Pass faults only when set: fault-free
+        # sweeps keep working against backends that predate the kwarg.
+        extra = {} if faults is None else {"faults": faults}
+        sweeps = backend.sweep_delay_pairs(
+            tree, agent, spec.pairs,
+            max_delay=max_delay, sides=spec.delays.sides,
+            max_rounds=max_rounds, **extra,
+        )
+        for (u, v), verdicts in zip(spec.pairs, sweeps, strict=True):
             for dv in verdicts:
                 if dv.met:
                     verdict = "met"

@@ -73,6 +73,7 @@ from .kernel import (
     run_pairs_kernel,
     solve_all_delays_auto,
     solve_all_delays_kernel,
+    solve_delay_grid_auto,
     solve_delay_grid_kernel,
     solve_gathering_auto,
     solve_gathering_kernel,
@@ -165,6 +166,7 @@ __all__ = [
     "solve_all_delays_kernel",
     "solve_all_delays_auto",
     "solve_delay_grid_kernel",
+    "solve_delay_grid_auto",
     "solve_gathering_kernel",
     "solve_gathering_auto",
     "Trace",

@@ -41,7 +41,13 @@ choices below the horizon, and every gathering vector, take the scalar
 faulted prefix.  All lanes then share one frontier on the post-horizon
 tables, with Brent anchoring after ``max(θ, horizon) + 1``.
 
-The dict solvers stay the oracle: :func:`solve_all_delays_auto` /
+A scenario's delay sweep is one frontier per spec and tree: the
+backends hand every start pair of a ``delay_sweep`` repetition to
+:func:`solve_delay_grid_auto`, whose lanes carry their pair so the
+budget guard stays per pair, and :func:`solve_all_delays_auto` is its
+one-pair case.
+
+The dict solvers stay the oracle: :func:`solve_delay_grid_auto` /
 :func:`solve_gathering_auto` run the kernel when it applies (numpy
 present, ``REPRO_KERNEL != 0``, tables within the memory cap) and fall
 back to the dict solver — the faulted twin under a fault plan — on
@@ -90,6 +96,7 @@ __all__ = [
     "solve_gathering_kernel",
     "run_pairs_kernel",
     "solve_all_delays_auto",
+    "solve_delay_grid_auto",
     "solve_gathering_auto",
 ]
 
@@ -446,6 +453,7 @@ def _joint_fates(
     *,
     max_configs: Optional[int],
     budgets=None,
+    groups=None,
 ):
     """Fates of every lane, all advanced together.
 
@@ -458,15 +466,20 @@ def _joint_fates(
     undecided)`` arrays — ``dist[j]`` is steps after entry for meeting
     lanes, else ``-1``.
 
-    ``max_configs`` bounds cumulative live-lane steps plus one per lane
-    entered.  The dict solver counts distinct configurations, meeting
-    ones included; its non-meeting ones never outnumber the lane steps,
-    and each lane ends on at most one meeting configuration, so a
-    frontier within the guard proves the dict solver would not have
-    tripped.  The ``*_auto`` wrappers translate a trip back into
-    dict-solver semantics by falling back.  A lane gathering a ``-1``
-    successor raises :class:`KernelUnsupported` — the dict solver
-    re-runs the instance so the automaton's genuine error surfaces.
+    ``max_configs`` bounds, per group of lanes (``groups[j]`` is lane
+    ``j``'s group; one group when ``None``), cumulative live-lane steps
+    plus one per lane entered.  The dict solver counts distinct
+    configurations, meeting ones included; its non-meeting ones never
+    outnumber the lane steps, and each lane ends on at most one meeting
+    configuration, so a frontier within the guard proves the dict solver
+    would not have tripped.  Lanes are independent and all enter at step
+    0 under the shared Brent schedule, so a group's work here equals the
+    work of a frontier holding that group alone: a grid whose groups are
+    start pairs trips exactly when some pair's own frontier would.  The
+    ``*_auto`` wrappers translate a trip back into dict-solver semantics
+    by falling back.  A lane gathering a ``-1`` successor raises
+    :class:`KernelUnsupported` — the dict solver re-runs the instance so
+    the automaton's genuine error surfaces.
     """
     k = len(tables)
     m = len(id_cols[0])
@@ -485,12 +498,21 @@ def _joint_fates(
     n = tables[0].n
 
     any_invalid = any(t.has_invalid for t in tables)
-    limit = None if max_configs is None else max_configs - m
+    if max_configs is not None:
+        # Live counts only fall, so ``slack`` steps at the live counts of
+        # the last exact count cannot overspend any group: a step costs
+        # one scalar compare, and a group's spend is recounted only once
+        # the slack is used up.
+        grp = (_np.zeros(m, dtype=_np.int64) if groups is None
+               else _np.asarray(groups, dtype=_np.int64))
+        ended = _np.full(m, -1, dtype=_np.int64)  # step a lane was decided at
+        slack = _guard_slack(max_configs, grp, ended, lanes, 0)
     telem = _telemetry()
     step = 0  # rounds advanced past the entry configurations
     brent_steps = 0
     brent_power = 1
     work = 0
+    since = 0  # steps since the guard's last exact count
     while lanes.size:
         pos0 = (curs[0] // widths[0]) % n
         if k == 2:
@@ -513,6 +535,8 @@ def _joint_fates(
                 undecided[lanes[over]] = True
                 done |= over
         if done.any():
+            if max_configs is not None:
+                ended[lanes[done]] = step
             keep = ~done
             lanes = lanes[keep]
             curs = [c[keep] for c in curs]
@@ -527,13 +551,17 @@ def _joint_fates(
             brent_steps = 0
             brent_power <<= 1
         work += lanes.size
-        if limit is not None and work > limit:
-            if telem.enabled:
-                _note_frontier(telem, m, step, work, max_configs,
-                               budget_exceeded=True)
-            raise BudgetExceededError(
-                f"sweep kernel exceeded max_configs={max_configs}"
-            )
+        since += 1
+        if max_configs is not None and since > slack:
+            slack = _guard_slack(max_configs, grp, ended, lanes, step + 1)
+            since = 0
+            if slack < 0:
+                if telem.enabled:
+                    _note_frontier(telem, m, step, work, max_configs,
+                                   budget_exceeded=True)
+                raise BudgetExceededError(
+                    f"sweep kernel exceeded max_configs={max_configs}"
+                )
         curs = [succ[c] for succ, c in zip(succs, curs)]
         if any_invalid:
             for c in curs:
@@ -547,6 +575,21 @@ def _joint_fates(
         _note_frontier(telem, m, step, work, max_configs,
                        budget_exceeded=False)
     return met, dist, undecided
+
+
+def _guard_slack(max_configs: int, grp, ended, lanes, steps: int) -> int:
+    """Exact per-group spend after ``steps`` frontier steps — one per
+    lane entered plus its live steps (``ended`` for decided lanes) —
+    turned into the steps every group can still take at its current
+    live count (``lanes``) without exceeding ``max_configs``; ``-1``
+    once some group has."""
+    lived = _np.where(ended >= 0, ended, steps) + 1
+    spent = _np.bincount(grp, weights=lived).astype(_np.int64)
+    if (spent > max_configs).any():
+        return -1
+    live = _np.bincount(grp[lanes], minlength=spent.size)
+    busy = live > 0
+    return int(((max_configs - spent[busy]) // live[busy]).min())
 
 
 def _note_frontier(
@@ -724,11 +767,12 @@ def solve_delay_grid_kernel(
 
     Returns one :func:`repro.sim.compiled.solve_all_delays`-ordered
     verdict list per input pair.  Every undecided (pair, θ, side) lane
-    advances in the same vectorized step — this is the shape the
-    ``success-families`` grid benchmark measures.  ``max_configs`` is
-    granted per pair (the grid call may spend ``max_configs *
-    len(pairs)`` lane-steps total), matching a per-pair dict-solver
-    loop's aggregate budget.
+    advances in the same vectorized step.  ``max_configs`` guards each
+    pair on its own: the grid raises
+    :class:`~repro.errors.BudgetExceededError` as soon as one pair's
+    lanes overspend, which is exactly when that pair's single-pair call
+    would raise (see :func:`_joint_fates`), so a grid that decides
+    proves every pair's dict solver would have decided too.
 
     Under ``faults`` (a :class:`~repro.sim.faults.FaultPlan`) the
     verdicts equal :func:`~repro.sim.faults.solve_all_delays_faulted`'s,
@@ -771,7 +815,7 @@ def solve_delay_grid_kernel(
     # walks' verdict slots in (walk, θ) order — lanes where the joint
     # fate is still open, short-circuit cells (θ >= first_hit meets at
     # round first_hit) prefilled.  Lane columns are agent-major.
-    lane_ids1, lane_ids2 = [], []
+    lane_ids1, lane_ids2, lane_pairs = [], [], []
     block_meta = []  # (side, lo, met, round, crashed blocks, scatter, entry round)
     for side in sides:
         lo = 0 if side == zero_side else 1
@@ -832,12 +876,13 @@ def solve_delay_grid_kernel(
                 ])
         lane_ids1.append(ids1)
         lane_ids2.append(ids2)
+        lane_pairs.append(scatter // width_cols)
         block_meta.append((side, lo, met_blk, round_blk, crash_blk,
                            scatter, entry_round))
 
     met, dist, _und = _joint_fates(
         post, (_np.concatenate(lane_ids1), _np.concatenate(lane_ids2)),
-        max_configs=max_configs * max(1, len(pairs)),
+        max_configs=max_configs, groups=_np.concatenate(lane_pairs),
     )
 
     # Scatter lane fates into the blocks, stitch blocks into the dict
@@ -1096,6 +1141,70 @@ def run_pairs_kernel(
 # ----------------------------------------------------------------------
 
 
+def solve_delay_grid_auto(
+    tree: Tree,
+    prototype: Automaton,
+    pairs: Sequence[tuple[int, int]],
+    *,
+    max_delay: int,
+    delayed_sides: Sequence[int] = (1, 2),
+    max_configs: int = 4_000_000,
+    prototype2: Optional[Automaton] = None,
+    faults=None,
+) -> list[list[DelayVerdict]]:
+    """Kernel-dispatched :func:`~repro.sim.compiled.solve_all_delays`
+    for many start pairs: one verdict list per pair, in input order.
+
+    All pairs ride one frontier (:func:`solve_delay_grid_kernel`) when
+    numpy is available, fault plans included.  If the grid cannot
+    decide — disabled kernel, oversized tables, an invalid-transition
+    lane, or one pair tripping the per-pair budget guard — each pair
+    is re-dispatched on its own, so only the pairs that genuinely need
+    it run the dict solver
+    (:func:`~repro.sim.faults.solve_all_delays_faulted` under
+    ``faults``).  That preserves the dict solver's exact semantics,
+    including raising :class:`~repro.errors.BudgetExceededError` only
+    when the *dict* solver's guard genuinely trips.
+    """
+    pairs = list(pairs)
+    t = _telemetry()
+    if kernel_available():
+        try:
+            verdicts = solve_delay_grid_kernel(
+                tree, prototype, pairs,
+                max_delay=max_delay, delayed_sides=delayed_sides,
+                max_configs=max_configs, prototype2=prototype2, faults=faults,
+            )
+            if t.enabled:
+                t.count("kernel.dispatch.delays.kernel", len(pairs))
+            return verdicts
+        except (KernelUnsupported, BudgetExceededError) as exc:
+            if t.enabled:
+                t.count(f"kernel.fallback.{type(exc).__name__}")
+                t.event("kernel.fallback", solver="delays", pairs=len(pairs),
+                        reason=type(exc).__name__, detail=str(exc))
+            if len(pairs) > 1:
+                return [
+                    solve_delay_grid_auto(
+                        tree, prototype, [pair],
+                        max_delay=max_delay, delayed_sides=delayed_sides,
+                        max_configs=max_configs, prototype2=prototype2,
+                        faults=faults,
+                    )[0]
+                    for pair in pairs
+                ]
+    if t.enabled:
+        t.count("kernel.dispatch.delays.dict", len(pairs))
+    return [
+        solve_all_delays(
+            tree, prototype, start1, start2,
+            max_delay=max_delay, delayed_sides=delayed_sides,
+            max_configs=max_configs, prototype2=prototype2, faults=faults,
+        )
+        for start1, start2 in pairs
+    ]
+
+
 def solve_all_delays_auto(
     tree: Tree,
     prototype: Automaton,
@@ -1108,39 +1217,13 @@ def solve_all_delays_auto(
     prototype2: Optional[Automaton] = None,
     faults=None,
 ) -> list[DelayVerdict]:
-    """Kernel-dispatched :func:`~repro.sim.compiled.solve_all_delays`.
-
-    Sweeps with numpy available ride the vectorized kernel, fault plans
-    included; everything else — disabled kernel, oversized tables,
-    invalid-transition lanes, or the kernel's own budget guard — runs
-    the dict solver (:func:`~repro.sim.faults.solve_all_delays_faulted`
-    under ``faults``), preserving its exact semantics (including raising
-    :class:`~repro.errors.BudgetExceededError` only when the *dict*
-    solver's guard genuinely trips).
-    """
-    t = _telemetry()
-    if kernel_available():
-        try:
-            verdicts = solve_all_delays_kernel(
-                tree, prototype, start1, start2,
-                max_delay=max_delay, delayed_sides=delayed_sides,
-                max_configs=max_configs, prototype2=prototype2, faults=faults,
-            )
-            if t.enabled:
-                t.count("kernel.dispatch.delays.kernel")
-            return verdicts
-        except (KernelUnsupported, BudgetExceededError) as exc:
-            if t.enabled:
-                t.count(f"kernel.fallback.{type(exc).__name__}")
-                t.event("kernel.fallback", solver="delays",
-                        reason=type(exc).__name__, detail=str(exc))
-    if t.enabled:
-        t.count("kernel.dispatch.delays.dict")
-    return solve_all_delays(
-        tree, prototype, start1, start2,
+    """Kernel-dispatched :func:`~repro.sim.compiled.solve_all_delays`:
+    the one-pair case of :func:`solve_delay_grid_auto`."""
+    return solve_delay_grid_auto(
+        tree, prototype, [(start1, start2)],
         max_delay=max_delay, delayed_sides=delayed_sides,
         max_configs=max_configs, prototype2=prototype2, faults=faults,
-    )
+    )[0]
 
 
 def solve_gathering_auto(
@@ -1155,7 +1238,7 @@ def solve_gathering_auto(
 ) -> list[GatheringVerdict]:
     """Kernel-dispatched
     :func:`~repro.sim.gathering_solver.solve_gathering` (see
-    :func:`solve_all_delays_auto` for the dispatch rules)."""
+    :func:`solve_delay_grid_auto` for the dispatch rules)."""
     t = _telemetry()
     if kernel_available():
         try:

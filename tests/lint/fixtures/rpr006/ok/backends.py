@@ -17,6 +17,9 @@ class Backend:
     def sweep_delays(self):
         raise NotImplementedError
 
+    def sweep_delay_pairs(self):
+        raise NotImplementedError
+
     def sweep_gathering(self):
         raise NotImplementedError
 

@@ -22,7 +22,13 @@ starts) instances:
   :func:`~repro.sim.faults.solve_gathering_faulted` field for field,
   ``crashed`` included — choices below and past the plan horizon,
   pauses over the sleeper's start, crashes before it starts, lowered
-  register programs, and budget trips.
+  register programs, and budget trips;
+- many-pair sweeps: ``Backend.sweep_delay_pairs`` on the ``auto`` and
+  ``compiled`` backends equals their per-pair ``sweep_delays`` loop
+  field for field (native automata, fault plans, register programs, and
+  ``max_rounds`` budgets that trip a pair), and
+  :func:`solve_delay_grid_auto` equals the per-pair dict solvers with a
+  heterogeneous ``prototype2``.
 """
 
 import random
@@ -34,10 +40,14 @@ from hypothesis import strategies as st
 from test_fault_parity import fault_plans
 
 from repro.agents import Automaton, alternator, counting_walker
-from repro.agents.library import counting_program, pausing_program
+from repro.agents.library import counting_program, pausing_program, pausing_walker
 from repro.agents.lowering import lowered_for
 from repro.errors import BudgetExceededError
-from repro.scenarios.backends import _lowered_for_faults
+from repro.scenarios.backends import (
+    AutoBackend,
+    CompiledBackend,
+    _lowered_for_faults,
+)
 from repro.sim import (
     CrashFault,
     FaultPlan,
@@ -48,6 +58,7 @@ from repro.sim import (
     solve_all_delays_auto,
     solve_all_delays_faulted,
     solve_all_delays_kernel,
+    solve_delay_grid_auto,
     solve_delay_grid_kernel,
     solve_gathering,
     solve_gathering_auto,
@@ -422,3 +433,146 @@ def test_faulted_kernel_named_plans(name, agent_name):
     assert solve_gathering_kernel(
         line(11), agent, starts, vectors, faults=plan
     ) == solve_gathering_faulted(line(11), agent, starts, vectors, faults=plan)
+
+
+# ----------------------------------------------------------------------
+# Many-pair sweeps: one frontier per tree == the per-pair loop
+# ----------------------------------------------------------------------
+
+_PAIR_BACKENDS = (AutoBackend(), CompiledBackend())
+
+
+def _random_pairs(tree, seed, count=4):
+    rng = random.Random(seed)
+    return [(rng.randrange(tree.n), rng.randrange(tree.n)) for _ in range(count)]
+
+
+def _assert_pairs_equal_loop(tree, agent, pairs, **kwargs):
+    for backend in _PAIR_BACKENDS:
+        loop = [
+            backend.sweep_delays(tree, agent, u, v, **kwargs)
+            for u, v in pairs
+        ]
+        assert backend.sweep_delay_pairs(tree, agent, pairs, **kwargs) == loop
+
+
+def _heterogeneous(tree, seed):
+    rng = random.Random(seed)
+    k2 = rng.randrange(1, 4)
+    dmax = tree.max_degree()
+    table2 = {
+        (s, ip, d): rng.randrange(k2)
+        for s in range(k2)
+        for ip in range(-1, dmax)
+        for d in range(1, dmax + 1)
+    }
+    return Automaton(k2, table2, [rng.randrange(-1, 3) for _ in range(k2)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances(), st.integers(0, 2**20), st.integers(0, 8),
+       st.sampled_from([(1, 2), (2, 1), (1,), (2,)]),
+       st.one_of(st.none(), fault_plans()))
+def test_sweep_delay_pairs_equals_per_pair_loop(instance, seed, max_delay,
+                                                sides, plan):
+    """Native automata, with and without a fault plan."""
+    tree, agent, _u, _v = instance
+    extra = {} if plan is None else {"faults": plan}
+    _assert_pairs_equal_loop(
+        tree, agent, _random_pairs(tree, seed),
+        max_delay=max_delay, sides=sides, **extra,
+    )
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**20), st.integers(0, 3),
+       st.booleans(), st.one_of(st.none(), fault_plans()))
+def test_sweep_delay_pairs_register_programs(n, seed, max_delay,
+                                             use_counting, plan):
+    """Register programs keep their per-pair route (traced lowering, or
+    full lowering under faults) and give the loop's verdicts."""
+    rng = random.Random(seed)
+    tree = random_relabel(random_tree(n, rng), rng)
+    program = counting_program(2) if use_counting else pausing_program(2)
+    extra = {} if plan is None else {"faults": plan}
+    _assert_pairs_equal_loop(
+        tree, program, _random_pairs(tree, seed, count=3),
+        max_delay=max_delay, **extra,
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(instances(max_n=7), st.integers(0, 2**20), st.integers(0, 5),
+       st.integers(1, 60), st.one_of(st.none(), fault_plans()))
+def test_sweep_delay_pairs_budgeted(instance, seed, max_delay, budget, plan):
+    """Small ``max_rounds``: budget trips degrade per pair, exactly as
+    the loop does, undecided verdicts included."""
+    tree, agent, _u, _v = instance
+    extra = {} if plan is None else {"faults": plan}
+    _assert_pairs_equal_loop(
+        tree, agent, _random_pairs(tree, seed),
+        max_delay=max_delay, max_rounds=budget, **extra,
+    )
+
+
+def test_sweep_delay_pairs_budget_trips_one_pair():
+    """A budget the heavy pair's solvers overrun while the cheap pairs
+    fit: the heavy pair degrades to budgeted per-run execution, the
+    cheap ones stay exact."""
+    from repro.telemetry import Telemetry, use
+
+    tree = edge_colored_line(31)
+    agent = pausing_walker(2)
+    # the dict solver needs 1475 configs for (0, 29), 65 for (10, 11)
+    pairs = [(0, 29), (10, 11), (10, 11)]
+    _assert_pairs_equal_loop(tree, agent, pairs, max_delay=16, max_rounds=1_000)
+    telem = Telemetry()
+    with use(telem):
+        AutoBackend().sweep_delay_pairs(
+            tree, agent, pairs, max_delay=16, max_rounds=1_000
+        )
+    counters = telem.snapshot()["counters"]
+    assert counters["backend.dispatch.sweep_delays.per_run"] == 1
+    assert counters["backend.dispatch.sweep_delays.exact"] == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.integers(0, 2**20), st.integers(0, 6),
+       st.integers(0, 400), st.one_of(st.none(), fault_plans()))
+def test_grid_budget_trips_exactly_when_a_pair_would(instance, seed, max_delay,
+                                                     budget, plan):
+    """The grid's guard is per pair: it raises iff some pair's own
+    kernel call raises under the same ``max_configs``, and otherwise
+    gives that call's verdicts."""
+    tree, agent, _u, _v = instance
+    pairs = _random_pairs(tree, seed)
+    per_pair = [
+        _outcome(solve_all_delays_kernel, tree, agent, u, v,
+                 max_delay=max_delay, max_configs=budget, faults=plan)
+        for u, v in pairs
+    ]
+    grid = _outcome(solve_delay_grid_kernel, tree, agent, pairs,
+                    max_delay=max_delay, max_configs=budget, faults=plan)
+    if BudgetExceededError in per_pair:
+        assert grid is BudgetExceededError
+    else:
+        assert grid == per_pair
+
+
+@settings(max_examples=20, deadline=None)
+@given(instances(), st.integers(0, 2**20), st.integers(0, 6),
+       st.one_of(st.none(), fault_plans()))
+def test_grid_auto_heterogeneous_prototype2(instance, seed, max_delay, plan):
+    tree, agent, _u, _v = instance
+    other = _heterogeneous(tree, seed)
+    pairs = _random_pairs(tree, seed)
+    per_pair = [
+        solve_all_delays(tree, agent, u, v, max_delay=max_delay,
+                         prototype2=other, faults=plan)
+        for u, v in pairs
+    ]
+    grid = solve_delay_grid_auto(
+        tree, agent, pairs, max_delay=max_delay, prototype2=other,
+        faults=plan,
+    )
+    assert grid == per_pair

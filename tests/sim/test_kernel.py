@@ -331,6 +331,88 @@ def test_grid_budget_scales_per_pair():
     assert len(grid) == len(pairs)
 
 
+def test_grid_budget_is_not_pooled_across_pairs():
+    """One pair overspending trips the grid even when the pooled budget
+    ``max_configs * len(pairs)`` would cover every pair's work, and the
+    auto dispatcher then re-runs the pairs one by one: the heavy pair on
+    the dict solver, the cheap ones on the kernel."""
+    from repro.telemetry import Telemetry, use
+
+    tree = edge_colored_line(31)
+    agent = pausing_walker(2)
+    heavy, cheap = (0, 29), (10, 11)
+    pairs = [heavy, cheap, cheap]
+    # the heavy pair's own frontier needs 1692 lane steps + 33 lanes,
+    # a cheap pair's 68 + 1; its dict solver fits from 1475 configs
+    budget = 1_500
+    with pytest.raises(BudgetExceededError):
+        solve_all_delays_kernel(tree, agent, *heavy, max_delay=16,
+                                max_configs=budget)
+    with pytest.raises(BudgetExceededError):
+        kernel_mod.solve_delay_grid_kernel(
+            tree, agent, pairs, max_delay=16, max_configs=budget
+        )
+
+    telem = Telemetry()
+    with use(telem):
+        grid = kernel_mod.solve_delay_grid_auto(
+            tree, agent, pairs, max_delay=16, max_configs=budget
+        )
+    assert grid == [
+        solve_all_delays_auto(tree, agent, u, v, max_delay=16,
+                              max_configs=budget)
+        for u, v in pairs
+    ]
+    assert grid == [
+        solve_all_delays(tree, agent, u, v, max_delay=16, max_configs=budget)
+        for u, v in pairs
+    ]
+    counters = telem.snapshot()["counters"]
+    assert counters["kernel.dispatch.delays.kernel"] == 2
+    assert counters["kernel.dispatch.delays.dict"] == 1
+
+    # below the heavy pair's dict budget both routes raise alike
+    with pytest.raises(BudgetExceededError):
+        solve_all_delays_auto(tree, agent, *heavy, max_delay=16,
+                              max_configs=1_000)
+    with pytest.raises(BudgetExceededError):
+        kernel_mod.solve_delay_grid_auto(
+            tree, agent, pairs, max_delay=16, max_configs=1_000
+        )
+
+
+def test_grid_budget_boundary_is_each_pairs_own_work():
+    """A pair's frontier spends one unit per lane entered plus one per
+    live-lane step.  The grid decides at the largest pair's spend and
+    raises one unit below it, even when other pairs hold most lanes."""
+    from repro.telemetry import Telemetry, use
+
+    tree = edge_colored_line(31)
+    agent = pausing_walker(2)
+    pairs = [(0, 29), (1, 2), (3, 4), (10, 11), (5, 8)]
+    spends = []
+    for u, v in pairs:
+        telem = Telemetry()
+        with use(telem):
+            solve_all_delays_kernel(tree, agent, u, v, max_delay=16)
+        counters = telem.snapshot()["counters"]
+        spends.append(counters["kernel.frontier.lanes"]
+                      + counters["kernel.frontier.lane_steps"])
+    for i, (u, v) in enumerate(pairs):
+        solve_all_delays_kernel(tree, agent, u, v, max_delay=16,
+                                max_configs=spends[i])
+        with pytest.raises(BudgetExceededError):
+            solve_all_delays_kernel(tree, agent, u, v, max_delay=16,
+                                    max_configs=spends[i] - 1)
+    kernel_mod.solve_delay_grid_kernel(
+        tree, agent, pairs, max_delay=16, max_configs=max(spends)
+    )
+    with pytest.raises(BudgetExceededError):
+        kernel_mod.solve_delay_grid_kernel(
+            tree, agent, pairs, max_delay=16, max_configs=max(spends) - 1
+        )
+
+
 def test_kernel_budget_guard_trips():
     tree = edge_colored_line(31)
     agent = pausing_walker(2)
