@@ -33,7 +33,8 @@ SMOKE_ARGV = {
     # the invariant gate itself: src/ must be clean (exit 0) at all times
     "lint-invariants": ["src"],
     "viz": ["--tree", "star:3"],
-    "report": [],
+    # run once, with -o, by the session-scoped cli_report fixture
+    "report": None,
     "experiments": ["--quick"],
     "scenarios": ["run", "delays-line"],
     # offline aggregation over a committed sample stream (pytest runs
@@ -55,9 +56,13 @@ def test_smoke_table_covers_every_subcommand():
 
 
 @pytest.mark.parametrize("command", sorted(SMOKE_ARGV))
-def test_subcommand_exits_zero(command, capsys):
-    rc = main([command, *SMOKE_ARGV[command]])
-    out = capsys.readouterr().out
+def test_subcommand_exits_zero(command, capsys, request):
+    if command == "report":
+        run = request.getfixturevalue("cli_report")
+        rc, out = run.rc, run.stdout
+    else:
+        rc = main([command, *SMOKE_ARGV[command]])
+        out = capsys.readouterr().out
     assert rc == 0, f"{command} exited {rc}:\n{out}"
     assert out.strip(), f"{command} printed nothing"
 

@@ -1,7 +1,6 @@
 """Tests for the one-shot report generator and small-tree edge cases."""
 
 from repro.analysis import ReportScale, generate_report
-from repro.cli import main
 
 
 class TestReport:
@@ -20,12 +19,10 @@ class TestReport:
         assert len(f.subdivisions) > len(q.subdivisions)
         assert max(f.thm31_ks) > max(q.thm31_ks)
 
-    def test_cli_report_to_file(self, tmp_path, capsys):
-        out = tmp_path / "report.md"
-        rc = main(["report", "-o", str(out)])
-        assert rc == 0
-        assert out.exists()
-        assert "# Reproduction report" in out.read_text()
+    def test_cli_report_to_file(self, cli_report):
+        assert cli_report.rc == 0
+        assert cli_report.path.exists()
+        assert "# Reproduction report" in cli_report.path.read_text()
 
 
 class TestTinyTreeEdgeCases:
