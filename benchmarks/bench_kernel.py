@@ -26,11 +26,13 @@ engine and lowering numbers.  Run directly
 exercises the quick mode through ``tests/sim/test_bench_smoke.py``.
 """
 
+import gc
 import json
 import random
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))  # for import under pytest/importlib
@@ -39,6 +41,19 @@ from _util import REPO_ROOT, record_json
 
 QUICK_FAMILIES = ("binary", "random", "subdivided")
 GRID_MAX_DELAY = 8
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector over timed rounds, as
+    :mod:`timeit` does.  A full collection walks every object the
+    process holds; inside a test session that takes ~0.1 s and can land
+    in any solver's window, swamping timings of tens of milliseconds."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def _sweep(quick: bool) -> dict:
@@ -71,14 +86,15 @@ def _sweep(quick: bool) -> dict:
     # build cost is recorded separately under table_cache
     dict_s = kern_s = float("inf")
     dict_v = kern_v = None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        dict_v = solve_all_delays(tree, agent, u, v, max_delay=max_delay)
-        dict_s = min(dict_s, time.perf_counter() - t0)
+    with _collector_paused():
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            dict_v = solve_all_delays(tree, agent, u, v, max_delay=max_delay)
+            dict_s = min(dict_s, time.perf_counter() - t0)
 
-        t0 = time.perf_counter()
-        kern_v = solve_all_delays_kernel(tree, agent, u, v, max_delay=max_delay)
-        kern_s = min(kern_s, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            kern_v = solve_all_delays_kernel(tree, agent, u, v, max_delay=max_delay)
+            kern_s = min(kern_s, time.perf_counter() - t0)
 
     match = kern_v == dict_v and all(
         reference[(dv.delay, dv.delayed)]
@@ -145,24 +161,25 @@ def _success_grid_speedup(quick: bool) -> dict:
         kernel_mod.agent_table(agent, tree)
     dict_s = kern_s = float("inf")
     dict_rows = kern_rows = None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        dict_rows = [
-            solve_all_delays(tree, agent, u, v, max_delay=GRID_MAX_DELAY)
-            for _f, tree, agent, ps in grids
-            for u, v in ps
-        ]
-        dict_s = min(dict_s, time.perf_counter() - t0)
+    with _collector_paused():
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            dict_rows = [
+                solve_all_delays(tree, agent, u, v, max_delay=GRID_MAX_DELAY)
+                for _f, tree, agent, ps in grids
+                for u, v in ps
+            ]
+            dict_s = min(dict_s, time.perf_counter() - t0)
 
-        t0 = time.perf_counter()
-        kern_rows = [
-            pair_rows
-            for _f, tree, agent, ps in grids
-            for pair_rows in solve_delay_grid_kernel(
-                tree, agent, ps, max_delay=GRID_MAX_DELAY
-            )
-        ]
-        kern_s = min(kern_s, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            kern_rows = [
+                pair_rows
+                for _f, tree, agent, ps in grids
+                for pair_rows in solve_delay_grid_kernel(
+                    tree, agent, ps, max_delay=GRID_MAX_DELAY
+                )
+            ]
+            kern_s = min(kern_s, time.perf_counter() - t0)
 
     match = kern_rows == dict_rows
 
