@@ -94,6 +94,20 @@ def instances(draw, max_n=8, max_states=3):
     return tree, agent, u, v
 
 
+def _heterogeneous(tree, seed):
+    """A random second automaton for the ``prototype2`` seam."""
+    rng = random.Random(seed)
+    k2 = rng.randrange(1, 4)
+    dmax = tree.max_degree()
+    table2 = {
+        (s, ip, d): rng.randrange(k2)
+        for s in range(k2)
+        for ip in range(-1, dmax)
+        for d in range(1, dmax + 1)
+    }
+    return Automaton(k2, table2, [rng.randrange(-1, 3) for _ in range(k2)])
+
+
 def decisive_budget(tree, agent, delay):
     period = (tree.n * agent.num_states * (tree.max_degree() + 1)) ** 2
     return 4 * period + delay + 8
@@ -132,16 +146,7 @@ def test_kernel_matches_reference(instance, max_delay):
 @given(instances(), st.integers(0, 4))
 def test_kernel_heterogeneous_prototype2(instance, max_delay):
     tree, agent, u, v = instance
-    rng = random.Random(u * 1009 + v)
-    k2 = rng.randrange(1, 4)
-    dmax = tree.max_degree()
-    table2 = {
-        (s, ip, d): rng.randrange(k2)
-        for s in range(k2)
-        for ip in range(-1, dmax)
-        for d in range(1, dmax + 1)
-    }
-    other = Automaton(k2, table2, [rng.randrange(-1, 3) for _ in range(k2)])
+    other = _heterogeneous(tree, u * 1009 + v)
     dict_v = solve_all_delays(
         tree, agent, u, v, max_delay=max_delay, prototype2=other
     )
@@ -278,16 +283,7 @@ def test_faulted_kernel_equals_faulted_dict_solver(instance, plan, max_delay, si
 @given(instances(), fault_plans(), st.integers(0, 8), st.integers(0, 2**20))
 def test_faulted_kernel_heterogeneous_prototype2(instance, plan, max_delay, seed):
     tree, agent, u, v = instance
-    rng = random.Random(seed)
-    k2 = rng.randrange(1, 4)
-    dmax = tree.max_degree()
-    table2 = {
-        (s, ip, d): rng.randrange(k2)
-        for s in range(k2)
-        for ip in range(-1, dmax)
-        for d in range(1, dmax + 1)
-    }
-    other = Automaton(k2, table2, [rng.randrange(-1, 3) for _ in range(k2)])
+    other = _heterogeneous(tree, seed)
     dict_v = solve_all_delays_faulted(
         tree, agent, u, v, max_delay=max_delay, faults=plan, prototype2=other
     )
@@ -454,19 +450,6 @@ def _assert_pairs_equal_loop(tree, agent, pairs, **kwargs):
             for u, v in pairs
         ]
         assert backend.sweep_delay_pairs(tree, agent, pairs, **kwargs) == loop
-
-
-def _heterogeneous(tree, seed):
-    rng = random.Random(seed)
-    k2 = rng.randrange(1, 4)
-    dmax = tree.max_degree()
-    table2 = {
-        (s, ip, d): rng.randrange(k2)
-        for s in range(k2)
-        for ip in range(-1, dmax)
-        for d in range(1, dmax + 1)
-    }
-    return Automaton(k2, table2, [rng.randrange(-1, 3) for _ in range(k2)])
 
 
 @settings(max_examples=30, deadline=None)
