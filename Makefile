@@ -66,19 +66,22 @@ golden-diff:
 	        benchmarks/results/golden/$$name.json || exit 1; \
 	done
 
-# Fault-model smoke: run every fault-injected scenario on the reference
-# AND compiled backends, require identical verdict rows (the faulted
-# parity contract), then exercise the supervised-pool suite.
+# Fault-model smoke: run every fault-injected scenario on the reference,
+# compiled AND auto (the default) backends, require identical verdict
+# rows (the faulted parity contract), then exercise the supervised-pool
+# suite.
 fault-smoke:
-	mkdir -p $(FAULT_TMP)/reference $(FAULT_TMP)/compiled
+	mkdir -p $(FAULT_TMP)/reference $(FAULT_TMP)/compiled $(FAULT_TMP)/auto
 	@for name in $(FAULT_SCENARIOS); do \
 	    echo "== $$name"; \
 	    $(PY) -m repro scenarios run $$name --backend reference \
 	        --save --out $(FAULT_TMP)/reference > /dev/null || exit 1; \
-	    $(PY) -m repro scenarios run $$name --backend compiled \
-	        --save --out $(FAULT_TMP)/compiled > /dev/null || exit 1; \
-	    $(PY) -m repro scenarios diff $(FAULT_TMP)/reference/$$name.json \
-	        $(FAULT_TMP)/compiled/$$name.json || exit 1; \
+	    for backend in compiled auto; do \
+	        $(PY) -m repro scenarios run $$name --backend $$backend \
+	            --save --out $(FAULT_TMP)/$$backend > /dev/null || exit 1; \
+	        $(PY) -m repro scenarios diff $(FAULT_TMP)/reference/$$name.json \
+	            $(FAULT_TMP)/$$backend/$$name.json || exit 1; \
+	    done; \
 	done
 	$(PY) -m pytest tests/sim/test_faults.py tests/sim/test_supervised.py -q
 

@@ -15,7 +15,7 @@ repo actually uses is covered:
   absolute imports matched exactly or on dotted-suffix (so the graph
   works whether the analyzer was pointed at ``src/`` or ``src/repro``).
 
-Method calls (``self.run(...)``, ``Backend.sweep_delays(...)``) are
+Method calls (``self.run(...)``, ``Backend.sweep_delay_pairs(...)``) are
 deliberately unresolved: binding them correctly needs type inference,
 and a rule built on guesses would cry wolf.  Unresolved calls are
 skipped, never flagged.

@@ -644,7 +644,6 @@ class BackendProtocolRule(ProjectRule):
         "run_gathering",
         "run_many",
         "run_gathering_many",
-        "sweep_delays",
         "sweep_delay_pairs",
         "sweep_gathering",
         "run_pairs",

@@ -21,12 +21,13 @@ Every rendezvous or gathering run a scenario performs goes through a
   start) automata for the product solvers;
 - :class:`BatchedBackend` — the compiled dispatch fanned out over a
   process pool (:mod:`repro.sim.batch`) for independent-run grids;
-- :class:`AutoBackend` — per-call selection via
-  :func:`repro.sim.compiled.supports_compilation`: automata ride the
-  compiled backend natively ("native"), register programs ride it
-  through lowering ("lowerable") for sweeps and grids — single fresh
-  runs stay on the reference engine, where interpreting the program
-  once is already optimal and the outcome carries executed registers.
+- :class:`AutoBackend` — the compiled backend with reference single
+  runs (:func:`repro.sim.compiled.run_rendezvous_fast`): automata ride
+  the compiled tables natively ("native"), register programs ride the
+  compiled sweeps and grids through lowering ("lowerable"), and single
+  fresh runs of anything else stay on the reference engine, where
+  interpreting the program once is already optimal and the outcome
+  carries executed registers.
 
 Lowering degrades, never crashes: a trace that finds no lasso within
 its budget (or machine state the freezer cannot capture) raises
@@ -36,11 +37,11 @@ and fall back to budgeted per-run execution whose unprovable choices
 come back *undecided* — the same honest note a budget-bound reference
 sweep produces, never fake proof, never an abort.
 
-The protocol is the seam the ISSUE's acceptance criterion tests:
+The protocol is the seam the cross-backend parity checks test:
 ``scenarios run <name> --backend compiled`` and ``--backend reference``
 must produce identical outcome tables.
 
-Sweep budgets: ``sweep_delays`` / ``sweep_gathering`` accept
+Sweep budgets: ``sweep_delay_pairs`` / ``sweep_gathering`` accept
 ``max_rounds=None`` (the default), meaning "whatever the backend needs
 to decide".  The reference path substitutes a generous per-run round
 budget; the exact solvers need no round budget at all — they decide
@@ -54,10 +55,11 @@ with the same verdict semantics on every backend.
 
 A ``delay_sweep`` hands all its start pairs on one tree to
 ``sweep_delay_pairs`` (as grids hand theirs to ``run_pairs``).  The
-default is the per-pair ``sweep_delays`` loop; the compiled and auto
-backends decide unbudgeted sweeps of automata in one kernel frontier
-(:func:`repro.sim.kernel.solve_delay_grid_auto`) and keep the per-pair
-loop for register programs and explicit budgets.
+default runs every adversary choice of every pair on its own; the
+compiled and auto backends decide unbudgeted sweeps of automata in one
+kernel frontier (:func:`repro.sim.kernel.solve_delay_grid_auto`),
+fault plans included, and fault-free register programs and explicit
+budgets one pair at a time.
 """
 
 from __future__ import annotations
@@ -119,6 +121,8 @@ __all__ = [
 ]
 
 _SWEEP_BUDGET = 500_000
+# What the exact sweeps absorb by degrading to budgeted per-run execution.
+_DEGRADES = (BudgetExceededError, LoweringError)
 
 
 def _note_dispatch(method: str, tier: str, calls: int = 1) -> None:
@@ -137,9 +141,9 @@ def _note_dispatch(method: str, tier: str, calls: int = 1) -> None:
 def _note_fallback(method: str, exc: BaseException) -> None:
     """Record a graceful degrade and its reason.
 
-    The ``except (BudgetExceededError, LoweringError): degrade()``
-    seams absorb these silently by design (honest verdicts, never a
-    crash) — telemetry is where the absorbed reason surfaces.
+    The sweep dispatchers' ``except _DEGRADES`` seams absorb these
+    silently by design (honest verdicts, never a crash) — telemetry is
+    where the absorbed reason surfaces.
     """
     t = _telemetry()
     if t.enabled:
@@ -220,58 +224,6 @@ class Backend(abc.ABC):
             if state is not None:
                 random.setstate(state)
 
-    def sweep_delays(
-        self,
-        tree: Tree,
-        prototype: AgentBase,
-        start1: int,
-        start2: int,
-        *,
-        max_delay: int,
-        sides: Sequence[int] = (1, 2),
-        max_rounds: Optional[int] = None,
-        faults=None,
-    ) -> list[DelayVerdict]:
-        """Decide every (θ ≤ max_delay, delayed side) adversary choice.
-
-        The default implementation runs each choice independently with
-        certification; backends with a batched solver override it.
-        ``max_rounds=None`` lets the backend pick its own budget; an
-        explicit value bounds the work on every backend (per-run rounds
-        here, configuration exploration in the exact solver — see the
-        module docstring).  ``faults`` (an optional
-        :class:`~repro.sim.faults.FaultPlan`) applies the same fault
-        schedule to every adversary choice.  A sweep over many start
-        pairs on one tree goes through :meth:`sweep_delay_pairs`, which
-        backends with a batched solver override instead.
-        """
-        budget = _SWEEP_BUDGET if max_rounds is None else max_rounds
-        zero_side = 2 if 2 in sides else sides[0]
-        extra = {} if faults is None else {"faults": faults}
-        verdicts = []
-        for theta in range(max_delay + 1):
-            for side in sides:
-                if theta == 0 and side != zero_side:
-                    continue
-                out = self.run(
-                    tree,
-                    prototype,
-                    start1,
-                    start2,
-                    delay=theta,
-                    delayed=side,
-                    max_rounds=budget,
-                    certify=True,
-                    **extra,
-                )
-                verdicts.append(
-                    DelayVerdict(
-                        theta, side, out.met, out.meeting_round,
-                        out.certified_never, bool(out.crashed),
-                    )
-                )
-        return verdicts
-
     def sweep_delay_pairs(
         self,
         tree: Tree,
@@ -283,24 +235,41 @@ class Backend(abc.ABC):
         max_rounds: Optional[int] = None,
         faults=None,
     ) -> list[list[DelayVerdict]]:
-        """:meth:`sweep_delays` for many start pairs on one tree: one
-        verdict list per pair, in input order.
+        """Decide every (θ ≤ max_delay, delayed side) adversary choice
+        for each start pair on one tree: one verdict list per pair, in
+        input order.
 
-        The default implementation *is* that per-pair loop; the
-        compiled/auto backends override it to decide every pair in one
-        kernel frontier.  ``faults`` reaches :meth:`sweep_delays` only
-        when set, so subclasses whose ``sweep_delays`` predates the
-        keyword keep working on fault-free sweeps.
+        The default implementation runs each choice independently with
+        certification; the compiled backend overrides it with the exact
+        solvers.  ``max_rounds=None`` lets the backend pick its own
+        budget; an explicit value bounds the work on every backend
+        (per-run rounds here, configuration exploration in the exact
+        solver — see the module docstring).  ``faults`` (an optional
+        :class:`~repro.sim.faults.FaultPlan`) applies the same fault
+        schedule to every adversary choice.
         """
-        extra = {} if faults is None else {"faults": faults}
-        return [
-            self.sweep_delays(
-                tree, prototype, start1, start2,
-                max_delay=max_delay, sides=sides, max_rounds=max_rounds,
-                **extra,
-            )
-            for start1, start2 in pairs
-        ]
+        budget = _SWEEP_BUDGET if max_rounds is None else max_rounds
+        zero_side = 2 if 2 in sides else sides[0]
+        sweeps = []
+        for start1, start2 in pairs:
+            verdicts = []
+            for theta in range(max_delay + 1):
+                for side in sides:
+                    if theta == 0 and side != zero_side:
+                        continue
+                    out = self.run(
+                        tree, prototype, start1, start2,
+                        delay=theta, delayed=side, max_rounds=budget,
+                        certify=True, faults=faults,
+                    )
+                    verdicts.append(
+                        DelayVerdict(
+                            theta, side, out.met, out.meeting_round,
+                            out.certified_never, bool(out.crashed),
+                        )
+                    )
+            sweeps.append(verdicts)
+        return sweeps
 
     def sweep_gathering(
         self,
@@ -316,9 +285,10 @@ class Backend(abc.ABC):
 
         The default implementation routes certified independent runs
         through :meth:`run_gathering_many` (on the batched backend that
-        fans them over its pool); the compiled and auto backends instead
-        take the exact joint-configuration solver for automata, so the
-        pool is only reached for agents the solver cannot lower.  A
+        fans them over its pool); the compiled backend (and so auto and
+        batched) instead takes the exact joint-configuration solver for
+        automata, so the pool is only reached for agents the solver
+        cannot lower.  A
         budgeted per-run backend can exhaust ``max_rounds`` without a
         certificate — those verdicts come back with neither flag set and
         callers must report them as undecided, never as proof.
@@ -353,8 +323,8 @@ class Backend(abc.ABC):
         The grid executors (success sweeps, exhaustive verification) use
         this instead of per-pair :meth:`run` calls.  The default
         implementation *is* that per-pair loop — verdict parity by
-        construction; the compiled/auto backends override it with the
-        batched frontier paths (the vectorized successor-table kernel
+        construction; the compiled backend (and so auto) overrides it
+        with the batched frontier paths (the vectorized successor-table kernel
         for automata, shared-trace windows for register programs).
         """
         out = []
@@ -382,104 +352,92 @@ def _lowered_for_faults(prototype: AgentBase, tree: Tree):
     return lowered_for(prototype, degrees)
 
 
-def _sweep_delays_exact(
-    backend: Backend, tree, prototype, start1, start2, max_delay, sides,
-    max_rounds, faults=None,
-) -> list[DelayVerdict]:
-    """Exact delay sweep with graceful budgeting.
-
-    The exact solver needs no round budget — it decides every choice by
-    walking the finite product configuration graph.  An explicit caller
-    budget is still honored as the configuration-exploration guard, and
-    tripping it degrades to the budgeted per-run path (undecided where
-    unprovable) so a budgeted sweep behaves alike on every backend
-    instead of aborting here.
-
-    Register programs take the traced-lowering route: both starts' solo
-    traces are lassoed and rolled into per-(tree, start) automata for
-    the same solver.  A trace that cannot lasso within budget — or
-    machine state the lowering cannot capture — degrades the same way,
-    with undecided notes where nothing is provable, never a crash.
-    Under ``faults`` traced lowering is unsound (see
-    :func:`_lowered_for_faults`), so lowerable agents go through full
-    behavioral lowering instead, with the same graceful degradation.
-    """
-    degrade = lambda: Backend.sweep_delays(  # noqa: E731 - one fallback, four exits
-        backend, tree, prototype, start1, start2,
-        max_delay=max_delay, sides=sides, max_rounds=max_rounds, faults=faults,
-    )
-    solver_proto = prototype
-    if supports_compilation(prototype) == "lowerable":
-        if not faults:
-            try:
-                kwargs = {} if max_rounds is None else dict(
-                    trace_budget=max_rounds, max_configs=max_rounds
-                )
-                verdicts = sweep_delays_traced(
-                    tree, prototype, start1, start2,
-                    max_delay=max_delay, sides=tuple(sides),
-                    solver=solve_all_delays_auto, **kwargs,
-                )
-                _note_dispatch("sweep_delays", "traced")
-                return verdicts
-            except (BudgetExceededError, LoweringError) as exc:
-                _note_fallback("sweep_delays", exc)
-                _note_dispatch("sweep_delays", "per_run")
-                return degrade()
-        try:
-            solver_proto = _lowered_for_faults(prototype, tree)
-        except (BudgetExceededError, LoweringError) as exc:
-            _note_fallback("sweep_delays", exc)
-            _note_dispatch("sweep_delays", "per_run")
-            return degrade()
-    extra = {} if faults is None else {"faults": faults}
-    if max_rounds is None:
-        verdicts = solve_all_delays_auto(
-            tree, solver_proto, start1, start2,
-            max_delay=max_delay, delayed_sides=tuple(sides), **extra,
-        )
-        _note_dispatch("sweep_delays", "exact")
-        return verdicts
-    try:
-        verdicts = solve_all_delays_auto(
-            tree, solver_proto, start1, start2,
-            max_delay=max_delay, delayed_sides=tuple(sides),
-            max_configs=max_rounds, **extra,
-        )
-        _note_dispatch("sweep_delays", "exact")
-        return verdicts
-    except BudgetExceededError as exc:
-        _note_fallback("sweep_delays", exc)
-        _note_dispatch("sweep_delays", "per_run")
-        return degrade()
-
-
 def _sweep_delay_pairs_exact(
     backend: Backend, tree, prototype, pairs, max_delay, sides, max_rounds,
     faults=None,
 ) -> list[list[DelayVerdict]]:
-    """Every start pair of a delay sweep in one kernel frontier.
+    """Exact delay sweep over many start pairs, with graceful budgeting.
 
-    Unbudgeted sweeps of automata, fault plans included, ride
-    :func:`~repro.sim.kernel.solve_delay_grid_auto`, which falls back
-    pair by pair on its own.  Register programs and explicit budgets
-    keep the per-pair :meth:`Backend.sweep_delay_pairs` loop over
-    ``backend.sweep_delays``: their routes (traced lowering, degrade to
-    budgeted per-run execution) are per pair.
+    The exact solver needs no round budget — it decides every choice by
+    walking the finite product configuration graph.  Unbudgeted sweeps
+    of automata, fault plans included, decide every pair in one kernel
+    frontier (:func:`~repro.sim.kernel.solve_delay_grid_auto`).  An
+    explicit caller budget is still honored as the configuration-
+    exploration guard, one pair at a time: a pair that trips it degrades
+    alone to the budgeted per-run path (undecided where unprovable), so
+    a budgeted sweep behaves alike on every backend instead of aborting
+    here.
+
+    Register programs take the traced-lowering route per pair: both
+    starts' solo traces are lassoed and rolled into per-(tree, start)
+    automata for the same solver.  A trace that cannot lasso within
+    budget — or machine state the lowering cannot capture — degrades
+    that pair the same way, never a crash.  Under ``faults`` traced
+    lowering is unsound (see :func:`_lowered_for_faults`), so lowerable
+    agents are lowered once behaviorally and then take the automaton
+    route.  Agents that do not compile run per choice through
+    ``backend.run``, which accepts or rejects them.
     """
-    if max_rounds is not None or supports_compilation(prototype) != "native":
+    def per_run(chunk):
         return Backend.sweep_delay_pairs(
-            backend, tree, prototype, pairs,
+            backend, tree, prototype, chunk,
             max_delay=max_delay, sides=sides, max_rounds=max_rounds,
             faults=faults,
         )
-    extra = {} if faults is None else {"faults": faults}
-    verdicts = solve_delay_grid_auto(
-        tree, prototype, pairs,
-        max_delay=max_delay, delayed_sides=tuple(sides), **extra,
-    )
-    _note_dispatch("sweep_delays", "exact", len(verdicts))
-    return verdicts
+
+    def degrade(chunk, exc):
+        _note_fallback("sweep_delays", exc)
+        _note_dispatch("sweep_delays", "per_run", len(chunk))
+        return per_run(chunk)
+
+    kind = supports_compilation(prototype)
+    if not kind:
+        return per_run(pairs)
+    budget = {} if max_rounds is None else {"max_configs": max_rounds}
+    if kind == "lowerable" and not faults:
+        tier = "traced"
+        if max_rounds is not None:
+            budget["trace_budget"] = max_rounds
+
+        def solve(start1, start2):
+            return sweep_delays_traced(
+                tree, prototype, start1, start2,
+                max_delay=max_delay, sides=tuple(sides),
+                solver=solve_all_delays_auto, **budget,
+            )
+    else:
+        tier = "exact"
+        solver_proto = prototype
+        if kind == "lowerable":
+            try:
+                solver_proto = _lowered_for_faults(prototype, tree)
+            except _DEGRADES as exc:
+                return degrade(pairs, exc)
+        if max_rounds is None:
+            verdicts = solve_delay_grid_auto(
+                tree, solver_proto, pairs,
+                max_delay=max_delay, delayed_sides=tuple(sides),
+                faults=faults,
+            )
+            _note_dispatch("sweep_delays", "exact", len(verdicts))
+            return verdicts
+
+        def solve(start1, start2):
+            return solve_delay_grid_auto(
+                tree, solver_proto, [(start1, start2)],
+                max_delay=max_delay, delayed_sides=tuple(sides),
+                faults=faults, **budget,
+            )[0]
+    sweeps = []
+    for pair in pairs:
+        try:
+            verdicts = solve(*pair)
+        except _DEGRADES as exc:
+            sweeps.extend(degrade([pair], exc))
+            continue
+        _note_dispatch("sweep_delays", tier)
+        sweeps.append(verdicts)
+    return sweeps
 
 
 def _sweep_gathering_exact(
@@ -487,80 +445,40 @@ def _sweep_gathering_exact(
     faults=None,
 ) -> list[GatheringVerdict]:
     """Exact gathering sweep with graceful budgeting (see
-    :func:`_sweep_delays_exact`)."""
-    degrade = lambda: Backend.sweep_gathering(  # noqa: E731
-        backend, tree, prototype, starts, delay_vectors,
-        max_rounds=max_rounds, faults=faults,
-    )
-    solver_proto = prototype
-    if supports_compilation(prototype) == "lowerable":
-        if not faults:
-            try:
-                kwargs = {} if max_rounds is None else dict(
-                    trace_budget=max_rounds, max_configs=max_rounds
-                )
+    :func:`_sweep_delay_pairs_exact`; one start set is one frontier)."""
+    kind = supports_compilation(prototype)
+    if kind:
+        budget = {} if max_rounds is None else {"max_configs": max_rounds}
+        solver_proto = None
+        try:
+            if kind == "lowerable" and not faults:
+                tier = "traced"
+                if max_rounds is not None:
+                    budget["trace_budget"] = max_rounds
                 verdicts = sweep_gathering_traced(
                     tree, prototype, starts, delay_vectors,
-                    solver=solve_gathering_auto, **kwargs,
+                    solver=solve_gathering_auto, **budget,
                 )
-                _note_dispatch("sweep_gathering", "traced")
-                return verdicts
-            except (BudgetExceededError, LoweringError) as exc:
-                _note_fallback("sweep_gathering", exc)
-                _note_dispatch("sweep_gathering", "per_run")
-                return degrade()
-        try:
-            solver_proto = _lowered_for_faults(prototype, tree)
-        except (BudgetExceededError, LoweringError) as exc:
+            else:
+                tier = "exact"
+                solver_proto = (
+                    prototype if kind == "native"
+                    else _lowered_for_faults(prototype, tree)
+                )
+                verdicts = solve_gathering_auto(
+                    tree, solver_proto, starts, delay_vectors,
+                    faults=faults, **budget,
+                )
+            _note_dispatch("sweep_gathering", tier)
+            return verdicts
+        except _DEGRADES as exc:
+            if solver_proto is not None and max_rounds is None:
+                raise  # the unbudgeted solver's own guard: no per-run rescue
             _note_fallback("sweep_gathering", exc)
             _note_dispatch("sweep_gathering", "per_run")
-            return degrade()
-    extra = {} if faults is None else {"faults": faults}
-    if max_rounds is None:
-        verdicts = solve_gathering_auto(
-            tree, solver_proto, starts, delay_vectors, **extra
-        )
-        _note_dispatch("sweep_gathering", "exact")
-        return verdicts
-    try:
-        verdicts = solve_gathering_auto(
-            tree, solver_proto, starts, delay_vectors,
-            max_configs=max_rounds, **extra,
-        )
-        _note_dispatch("sweep_gathering", "exact")
-        return verdicts
-    except BudgetExceededError as exc:
-        _note_fallback("sweep_gathering", exc)
-        _note_dispatch("sweep_gathering", "per_run")
-        return degrade()
-
-
-def _run_pairs_fast(
-    backend: Backend, tree, prototype, pairs, max_rounds
-) -> list[PairVerdict]:
-    """Batched delay-0 dispatch shared by the compiled and auto backends.
-
-    Automata ride the vectorized successor-table kernel (falling back to
-    the per-pair compiled loop when the kernel is unavailable or punts);
-    register programs ride the shared-trace window scan; anything else
-    gets the base per-pair loop, whose honesty is the backend's own
-    ``run`` dispatch.
-    """
-    kind = supports_compilation(prototype)
-    if kind == "lowerable":
-        verdicts = run_pairs_traced(tree, prototype, pairs, max_rounds=max_rounds)
-        _note_dispatch("run_pairs", "traced")
-        return verdicts
-    if kind == "native" and kernel_available():
-        try:
-            verdicts = run_pairs_kernel(tree, prototype, pairs, max_rounds=max_rounds)
-            _note_dispatch("run_pairs", "kernel")
-            return verdicts
-        except (KernelUnsupported, BudgetExceededError) as exc:
-            _note_fallback("run_pairs", exc)
-    _note_dispatch("run_pairs", "per_pair")
-    return Backend.run_pairs(
-        backend, tree, prototype, pairs, max_rounds=max_rounds
+    return Backend.sweep_gathering(
+        backend, tree, prototype, starts, delay_vectors,
+        max_rounds=max_rounds, faults=faults,
     )
 
 
@@ -611,15 +529,6 @@ class CompiledBackend(Backend):
             return run_gathering_traced(tree, prototype, starts, **kwargs)
         return run_gathering_compiled(tree, prototype, starts, **kwargs)
 
-    def sweep_delays(
-        self, tree, prototype, start1, start2, *, max_delay,
-        sides=(1, 2), max_rounds=None, faults=None,
-    ) -> list[DelayVerdict]:
-        return _sweep_delays_exact(
-            self, tree, prototype, start1, start2, max_delay, sides,
-            max_rounds, faults,
-        )
-
     def sweep_delay_pairs(
         self, tree, prototype, pairs, *, max_delay, sides=(1, 2),
         max_rounds=None, faults=None,
@@ -638,18 +547,43 @@ class CompiledBackend(Backend):
         )
 
     def run_pairs(self, tree, prototype, pairs, *, max_rounds):
-        return _run_pairs_fast(self, tree, prototype, pairs, max_rounds)
+        """Batched delay-0 dispatch: automata ride the vectorized
+        successor-table kernel (falling back to the per-pair loop when
+        the kernel is unavailable or punts); register programs ride the
+        shared-trace window scan; anything else gets the base per-pair
+        loop, whose honesty is this backend's own ``run`` dispatch."""
+        kind = supports_compilation(prototype)
+        if kind == "lowerable":
+            verdicts = run_pairs_traced(
+                tree, prototype, pairs, max_rounds=max_rounds
+            )
+            _note_dispatch("run_pairs", "traced")
+            return verdicts
+        if kind == "native" and kernel_available():
+            try:
+                verdicts = run_pairs_kernel(
+                    tree, prototype, pairs, max_rounds=max_rounds
+                )
+                _note_dispatch("run_pairs", "kernel")
+                return verdicts
+            except (KernelUnsupported, BudgetExceededError) as exc:
+                _note_fallback("run_pairs", exc)
+        _note_dispatch("run_pairs", "per_pair")
+        return super().run_pairs(tree, prototype, pairs, max_rounds=max_rounds)
 
 
-class AutoBackend(Backend):
-    """Per-call selection: compiled for automata, traced lowering for
-    register programs on sweeps/grids, reference otherwise.
+class AutoBackend(CompiledBackend):
+    """The compiled backend with reference single runs for agents it
+    cannot or need not compile.
 
-    Single runs of register programs stay on the reference engine (see
-    :func:`repro.sim.compiled.run_rendezvous_fast` — one fresh run gains
-    nothing from tracing and keeps its executed registers); the batched
-    sweeps, where traces and product configurations are shared, take the
-    lowered exact path.
+    Sweeps and pair grids take the compiled dispatch: automata natively,
+    register programs through traced lowering, where traces and product
+    configurations are shared.  Single runs go through
+    :func:`repro.sim.compiled.run_rendezvous_fast` and
+    :func:`repro.sim.multi.run_gathering`: compiled tables for automata,
+    the reference engine for everything else — one fresh run of a
+    register program gains nothing from tracing and keeps its executed
+    registers, and duck-typed agents run instead of being rejected.
     """
 
     name = "auto"
@@ -657,45 +591,8 @@ class AutoBackend(Backend):
     def run(self, tree, prototype, start1, start2, **kwargs) -> RendezvousOutcome:
         return run_rendezvous_fast(tree, prototype, start1, start2, **kwargs)
 
-    def sweep_delays(
-        self, tree, prototype, start1, start2, *, max_delay,
-        sides=(1, 2), max_rounds=None, faults=None,
-    ) -> list[DelayVerdict]:
-        if supports_compilation(prototype):
-            return _sweep_delays_exact(
-                self, tree, prototype, start1, start2, max_delay, sides,
-                max_rounds, faults,
-            )
-        return super().sweep_delays(
-            tree, prototype, start1, start2,
-            max_delay=max_delay, sides=sides, max_rounds=max_rounds,
-            faults=faults,
-        )
-
-    def sweep_delay_pairs(
-        self, tree, prototype, pairs, *, max_delay, sides=(1, 2),
-        max_rounds=None, faults=None,
-    ) -> list[list[DelayVerdict]]:
-        return _sweep_delay_pairs_exact(
-            self, tree, prototype, pairs, max_delay, sides, max_rounds,
-            faults,
-        )
-
-    def sweep_gathering(
-        self, tree, prototype, starts, delay_vectors, *, max_rounds=None,
-        faults=None,
-    ) -> list[GatheringVerdict]:
-        if supports_compilation(prototype):
-            return _sweep_gathering_exact(
-                self, tree, prototype, starts, delay_vectors, max_rounds, faults
-            )
-        return super().sweep_gathering(
-            tree, prototype, starts, delay_vectors, max_rounds=max_rounds,
-            faults=faults,
-        )
-
-    def run_pairs(self, tree, prototype, pairs, *, max_rounds):
-        return _run_pairs_fast(self, tree, prototype, pairs, max_rounds)
+    def run_gathering(self, tree, prototype, starts, **kwargs) -> GatheringOutcome:
+        return run_gathering(tree, prototype, starts, **kwargs)
 
 
 class BatchedBackend(AutoBackend):

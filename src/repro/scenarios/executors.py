@@ -159,13 +159,11 @@ def _delay_sweep(spec: ScenarioSpec, backend: Backend, rng: random.Random):
                 tree, random.Random(derive_seed(spec.seed, "relabel", rep))
             )
         # Every pair on this tree in one call, so exact backends decide
-        # them in one frontier.  Pass faults only when set: fault-free
-        # sweeps keep working against backends that predate the kwarg.
-        extra = {} if faults is None else {"faults": faults}
+        # them in one frontier.
         sweeps = backend.sweep_delay_pairs(
             tree, agent, spec.pairs,
             max_delay=max_delay, sides=spec.delays.sides,
-            max_rounds=max_rounds, **extra,
+            max_rounds=max_rounds, faults=faults,
         )
         for (u, v), verdicts in zip(spec.pairs, sweeps, strict=True):
             for dv in verdicts:
@@ -227,10 +225,9 @@ def _gathering_sweep(spec: ScenarioSpec, backend: Backend, rng: random.Random):
     for tree_spec in tree_specs:
         tree = build_tree(tree_spec, spec.seed)
         for starts in start_sets:
-            extra = {} if faults is None else {"faults": faults}
             verdicts = backend.sweep_gathering(
                 tree, agent, starts, delay_vectors,
-                max_rounds=max_rounds, **extra,
+                max_rounds=max_rounds, faults=faults,
             )
             for vec, gv in zip(delay_vectors, verdicts):
                 if gv.gathered:

@@ -16,7 +16,7 @@ class Backend:
     def run_gathering_many(self):
         raise NotImplementedError
 
-    def sweep_delays(self):
+    def sweep_delay_pairs(self):
         raise NotImplementedError
 
 

@@ -14,9 +14,6 @@ class Backend:
     def run_gathering_many(self):
         raise NotImplementedError
 
-    def sweep_delays(self):
-        raise NotImplementedError
-
     def sweep_delay_pairs(self):
         raise NotImplementedError
 

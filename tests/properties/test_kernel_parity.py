@@ -24,9 +24,9 @@ starts) instances:
   pauses over the sleeper's start, crashes before it starts, lowered
   register programs, and budget trips;
 - many-pair sweeps: ``Backend.sweep_delay_pairs`` on the ``auto`` and
-  ``compiled`` backends equals their per-pair ``sweep_delays`` loop
-  field for field (native automata, fault plans, register programs, and
-  ``max_rounds`` budgets that trip a pair), and
+  ``compiled`` backends equals the reference backend's field for field
+  (native automata, fault plans, register programs), equals its own
+  one-pair calls under ``max_rounds`` budgets that trip a pair, and
   :func:`solve_delay_grid_auto` equals the per-pair dict solvers with a
   heterogeneous ``prototype2``.
 """
@@ -46,6 +46,7 @@ from repro.errors import BudgetExceededError
 from repro.scenarios.backends import (
     AutoBackend,
     CompiledBackend,
+    ReferenceBackend,
     _lowered_for_faults,
 )
 from repro.sim import (
@@ -432,7 +433,7 @@ def test_faulted_kernel_named_plans(name, agent_name):
 
 
 # ----------------------------------------------------------------------
-# Many-pair sweeps: one frontier per tree == the per-pair loop
+# Many-pair sweeps: one frontier per tree == the reference engine
 # ----------------------------------------------------------------------
 
 _PAIR_BACKENDS = (AutoBackend(), CompiledBackend())
@@ -443,27 +444,42 @@ def _random_pairs(tree, seed, count=4):
     return [(rng.randrange(tree.n), rng.randrange(tree.n)) for _ in range(count)]
 
 
-def _assert_pairs_equal_loop(tree, agent, pairs, **kwargs):
+def _assert_pairs_equal_reference(tree, agent, pairs, oracle_agent=None,
+                                  **kwargs):
+    """Unbudgeted sweeps: every exact route equals the reference
+    engine's certified per-choice runs of ``oracle_agent`` (default:
+    ``agent`` itself), ``crashed`` included."""
+    ref = ReferenceBackend().sweep_delay_pairs(
+        tree, oracle_agent or agent, pairs, **kwargs
+    )
     for backend in _PAIR_BACKENDS:
-        loop = [
-            backend.sweep_delays(tree, agent, u, v, **kwargs)
-            for u, v in pairs
+        assert backend.sweep_delay_pairs(tree, agent, pairs, **kwargs) == ref
+
+
+def _assert_pairs_equal_one_pair_calls(tree, agent, pairs, **kwargs):
+    """Budgeted sweeps: the reference's round budget and the exact
+    solvers' configuration guard starve different choices, so the
+    oracle is the backend's own one-pair calls — a pair's budget trip
+    must not touch its neighbours."""
+    for backend in _PAIR_BACKENDS:
+        one_pair = [
+            backend.sweep_delay_pairs(tree, agent, [pair], **kwargs)[0]
+            for pair in pairs
         ]
-        assert backend.sweep_delay_pairs(tree, agent, pairs, **kwargs) == loop
+        assert backend.sweep_delay_pairs(tree, agent, pairs, **kwargs) == one_pair
 
 
 @settings(max_examples=30, deadline=None)
 @given(instances(), st.integers(0, 2**20), st.integers(0, 8),
        st.sampled_from([(1, 2), (2, 1), (1,), (2,)]),
        st.one_of(st.none(), fault_plans()))
-def test_sweep_delay_pairs_equals_per_pair_loop(instance, seed, max_delay,
-                                                sides, plan):
+def test_sweep_delay_pairs_equals_reference(instance, seed, max_delay,
+                                            sides, plan):
     """Native automata, with and without a fault plan."""
     tree, agent, _u, _v = instance
-    extra = {} if plan is None else {"faults": plan}
-    _assert_pairs_equal_loop(
+    _assert_pairs_equal_reference(
         tree, agent, _random_pairs(tree, seed),
-        max_delay=max_delay, sides=sides, **extra,
+        max_delay=max_delay, sides=sides, faults=plan,
     )
 
 
@@ -472,15 +488,18 @@ def test_sweep_delay_pairs_equals_per_pair_loop(instance, seed, max_delay,
        st.booleans(), st.one_of(st.none(), fault_plans()))
 def test_sweep_delay_pairs_register_programs(n, seed, max_delay,
                                              use_counting, plan):
-    """Register programs keep their per-pair route (traced lowering, or
-    full lowering under faults) and give the loop's verdicts."""
+    """Register programs (traced lowering per pair, or full lowering
+    once under faults) give the reference engine's verdicts.  The
+    reference engine cannot certify non-meeting for a register program
+    (it has no finite ``state``), so it runs the program's behavioral
+    lowering instead."""
     rng = random.Random(seed)
     tree = random_relabel(random_tree(n, rng), rng)
     program = counting_program(2) if use_counting else pausing_program(2)
-    extra = {} if plan is None else {"faults": plan}
-    _assert_pairs_equal_loop(
+    _assert_pairs_equal_reference(
         tree, program, _random_pairs(tree, seed, count=3),
-        max_delay=max_delay, **extra,
+        oracle_agent=_lowered_for_faults(program, tree),
+        max_delay=max_delay, faults=plan,
     )
 
 
@@ -489,12 +508,11 @@ def test_sweep_delay_pairs_register_programs(n, seed, max_delay,
        st.integers(1, 60), st.one_of(st.none(), fault_plans()))
 def test_sweep_delay_pairs_budgeted(instance, seed, max_delay, budget, plan):
     """Small ``max_rounds``: budget trips degrade per pair, exactly as
-    the loop does, undecided verdicts included."""
+    one-pair calls do, undecided verdicts included."""
     tree, agent, _u, _v = instance
-    extra = {} if plan is None else {"faults": plan}
-    _assert_pairs_equal_loop(
+    _assert_pairs_equal_one_pair_calls(
         tree, agent, _random_pairs(tree, seed),
-        max_delay=max_delay, max_rounds=budget, **extra,
+        max_delay=max_delay, max_rounds=budget, faults=plan,
     )
 
 
@@ -508,7 +526,9 @@ def test_sweep_delay_pairs_budget_trips_one_pair():
     agent = pausing_walker(2)
     # the dict solver needs 1475 configs for (0, 29), 65 for (10, 11)
     pairs = [(0, 29), (10, 11), (10, 11)]
-    _assert_pairs_equal_loop(tree, agent, pairs, max_delay=16, max_rounds=1_000)
+    _assert_pairs_equal_one_pair_calls(
+        tree, agent, pairs, max_delay=16, max_rounds=1_000
+    )
     telem = Telemetry()
     with use(telem):
         AutoBackend().sweep_delay_pairs(

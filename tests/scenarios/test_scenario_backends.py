@@ -10,8 +10,9 @@ import random
 import pytest
 
 from repro.agents import counting_walker, random_tree_automaton
+from repro.agents.library import counting_program
 from repro.core import rendezvous_agent
-from repro.errors import SimulationError
+from repro.errors import BudgetExceededError, LoweringError, SimulationError
 from repro.scenarios import (
     AutoBackend,
     BatchedBackend,
@@ -20,8 +21,27 @@ from repro.scenarios import (
     Runner,
     select_backend,
 )
-from repro.sim import BatchJob, GatheringJob, solve_all_delays
+from repro.scenarios import backends
+from repro.sim import BatchJob, FaultPlan, GatheringJob, PauseFault, solve_all_delays
+from repro.telemetry import Telemetry, use
 from repro.trees import edge_colored_line, line, spider
+
+
+class _Wanderer:
+    """A duck-typed agent no backend compiles: the basic walk (leave by
+    the port after the one you came in on).  Its constant ``state``
+    lets the reference engine certify non-meeting."""
+
+    state = 0
+
+    def start(self, degree):
+        return 0
+
+    def step(self, in_port, degree):
+        return in_port + 1
+
+    def clone(self):
+        return _Wanderer()
 
 
 class TestScenarioParity:
@@ -76,7 +96,9 @@ class TestBackendProtocol:
     def test_reference_sweep_matches_batched_solver(self):
         tree = edge_colored_line(9)
         agent = counting_walker(2)
-        ref = ReferenceBackend().sweep_delays(tree, agent, 0, 5, max_delay=6)
+        (ref,) = ReferenceBackend().sweep_delay_pairs(
+            tree, agent, [(0, 5)], max_delay=6
+        )
         fast = solve_all_delays(tree, agent, 0, 5, max_delay=6)
         assert [
             (v.delay, v.delayed, v.met, v.meeting_round, v.certified_never)
@@ -120,18 +142,8 @@ class TestBackendProtocol:
         )
 
     def test_compiled_still_rejects_duck_typed_agents(self):
-        class Opaque:
-            def start(self, degree):
-                return -1
-
-            def step(self, in_port, degree):
-                return -1
-
-            def clone(self):
-                return Opaque()
-
         with pytest.raises(SimulationError):
-            CompiledBackend().run(line(5), Opaque(), 0, 3)
+            CompiledBackend().run(line(5), _Wanderer(), 0, 3)
 
     def test_run_many_order_and_parity(self):
         tree = line(6)
@@ -163,8 +175,8 @@ class TestSweepBudget:
         tree = edge_colored_line(9)
         agent = counting_walker(2)
         for backend in (CompiledBackend(), AutoBackend()):
-            verdicts = backend.sweep_delays(
-                tree, agent, 0, 5, max_delay=6, max_rounds=2
+            (verdicts,) = backend.sweep_delay_pairs(
+                tree, agent, [(0, 5)], max_delay=6, max_rounds=2
             )
             # 2 rounds decide nothing on this instance: every verdict
             # must come back undecided, not as a proof and not a raise.
@@ -174,7 +186,9 @@ class TestSweepBudget:
     def test_compiled_sweep_default_needs_no_budget(self):
         tree = edge_colored_line(9)
         agent = counting_walker(2)
-        verdicts = CompiledBackend().sweep_delays(tree, agent, 0, 5, max_delay=6)
+        (verdicts,) = CompiledBackend().sweep_delay_pairs(
+            tree, agent, [(0, 5)], max_delay=6
+        )
         assert all(v.met or v.certified_never for v in verdicts)
 
     def test_budgeted_sweep_matches_reference_rows(self):
@@ -207,6 +221,137 @@ class TestSweepBudget:
             tree, agent, starts, [[0, 0, 0]]
         )
         assert verdict.certified_never
+
+
+class TestNonCompilableAgents:
+    """Duck-typed agents on the shared exact dispatchers: ``auto`` runs
+    them per choice on the reference engine, ``compiled`` refuses."""
+
+    TREE = line(7)
+    PAIRS = [(0, 5), (1, 4), (3, 3), (6, 2)]
+    STARTS = [0, 3, 6]
+    VECTORS = [[0, 0, 0], [0, 1, 2], [3, 0, 1]]
+
+    def test_auto_sweep_delay_pairs_matches_reference(self):
+        kwargs = dict(max_delay=5, max_rounds=200)
+        ref = ReferenceBackend().sweep_delay_pairs(
+            self.TREE, _Wanderer(), self.PAIRS, **kwargs
+        )
+        assert AutoBackend().sweep_delay_pairs(
+            self.TREE, _Wanderer(), self.PAIRS, **kwargs
+        ) == ref
+        verdicts = [v for sweep in ref for v in sweep]
+        assert any(v.met for v in verdicts)
+        assert any(v.certified_never for v in verdicts)
+
+    def test_auto_sweep_gathering_matches_reference(self):
+        args = (self.TREE, _Wanderer(), self.STARTS, self.VECTORS)
+        ref = ReferenceBackend().sweep_gathering(*args, max_rounds=200)
+        assert AutoBackend().sweep_gathering(*args, max_rounds=200) == ref
+        assert all(v.gathered or v.certified_never for v in ref)
+
+    def test_compiled_rejects_on_both_sweeps(self):
+        with pytest.raises(SimulationError):
+            CompiledBackend().sweep_delay_pairs(
+                self.TREE, _Wanderer(), self.PAIRS, max_delay=5, max_rounds=200
+            )
+        with pytest.raises(SimulationError):
+            CompiledBackend().sweep_gathering(
+                self.TREE, _Wanderer(), self.STARTS, self.VECTORS,
+                max_rounds=200,
+            )
+
+
+def _raise(exc):
+    def solver(*args, **kwargs):
+        raise exc("forced")
+    return solver
+
+
+class TestDegradeSeams:
+    """The exact dispatchers' degrade exits, forced by a solver or a
+    lowering that raises: explicit budgets and lowering failures fall
+    back to per-run verdicts, an unbudgeted solver trip propagates."""
+
+    TREE = edge_colored_line(9)
+    PAIRS = [(0, 5), (2, 3)]
+    STARTS = [0, 4, 8]
+    VECTORS = [[0, 0, 0], [0, 1, 2]]
+
+    def _force_trips(self, monkeypatch):
+        monkeypatch.setattr(
+            backends, "solve_delay_grid_auto", _raise(BudgetExceededError)
+        )
+        monkeypatch.setattr(
+            backends, "solve_gathering_auto", _raise(BudgetExceededError)
+        )
+
+    def test_unbudgeted_solver_trip_propagates(self, monkeypatch):
+        self._force_trips(monkeypatch)
+        agent = counting_walker(2)
+        with pytest.raises(BudgetExceededError):
+            CompiledBackend().sweep_delay_pairs(
+                self.TREE, agent, self.PAIRS, max_delay=3
+            )
+        with pytest.raises(BudgetExceededError):
+            CompiledBackend().sweep_gathering(
+                self.TREE, agent, self.STARTS, self.VECTORS
+            )
+
+    def test_budgeted_solver_trip_degrades_to_per_run(self, monkeypatch):
+        agent = counting_walker(2)
+        ref = ReferenceBackend()
+        want_delays = ref.sweep_delay_pairs(
+            self.TREE, agent, self.PAIRS, max_delay=3, max_rounds=5000
+        )
+        want_gathering = ref.sweep_gathering(
+            self.TREE, agent, self.STARTS, self.VECTORS, max_rounds=5000
+        )
+        self._force_trips(monkeypatch)
+        telem = Telemetry()
+        with use(telem):
+            assert CompiledBackend().sweep_delay_pairs(
+                self.TREE, agent, self.PAIRS, max_delay=3, max_rounds=5000
+            ) == want_delays
+            assert CompiledBackend().sweep_gathering(
+                self.TREE, agent, self.STARTS, self.VECTORS, max_rounds=5000
+            ) == want_gathering
+        counters = telem.snapshot()["counters"]
+        assert counters["backend.dispatch.sweep_delays.per_run"] == 2
+        assert counters["backend.dispatch.sweep_gathering.per_run"] == 1
+        assert counters["backend.fallback.BudgetExceededError"] == 3
+
+    def test_faulted_lowering_failure_degrades_unbudgeted(self, monkeypatch):
+        # auto's per-run path runs register programs on the reference
+        # engine, so the degraded sweeps equal the reference backend's.
+        program = counting_program(2)
+        plan = FaultPlan(pauses=(PauseFault(1, 2, 2),))
+        ref = ReferenceBackend()
+        want_delays = ref.sweep_delay_pairs(
+            self.TREE, program, self.PAIRS, max_delay=3, faults=plan,
+            max_rounds=300,
+        )
+        want_gathering = ref.sweep_gathering(
+            self.TREE, program, self.STARTS, self.VECTORS, faults=plan,
+            max_rounds=300,
+        )
+        monkeypatch.setattr(
+            backends, "_lowered_for_faults", _raise(LoweringError)
+        )
+        telem = Telemetry()
+        with use(telem):
+            assert AutoBackend().sweep_delay_pairs(
+                self.TREE, program, self.PAIRS, max_delay=3, faults=plan,
+                max_rounds=300,
+            ) == want_delays
+            assert AutoBackend().sweep_gathering(
+                self.TREE, program, self.STARTS, self.VECTORS, faults=plan,
+                max_rounds=300,
+            ) == want_gathering
+        counters = telem.snapshot()["counters"]
+        assert counters["backend.dispatch.sweep_delays.per_run"] == 2
+        assert counters["backend.dispatch.sweep_gathering.per_run"] == 1
+        assert counters["backend.fallback.LoweringError"] == 2
 
 
 class TestGatheringProtocol:

@@ -102,9 +102,10 @@ class TestRunner:
             def run(self, *a, **kw):  # pragma: no cover - not used
                 raise AssertionError
 
-            def sweep_delays(self, tree, prototype, u, v, *, max_delay,
-                             sides=(1, 2), max_rounds=0):
-                return [DelayVerdict(0, 2, False, None, False)]
+            def sweep_delay_pairs(self, tree, prototype, pairs, *,
+                                  max_delay, sides=(1, 2), max_rounds=0,
+                                  faults=None):
+                return [[DelayVerdict(0, 2, False, None, False)] for _ in pairs]
 
         result = Runner(backend=BudgetedStub()).run("delays-line")
         assert result.rows[0]["verdict"] == "undecided"
