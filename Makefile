@@ -16,7 +16,7 @@ KERNEL_CHECK_TMP := $(RESULTS_TMP)/repro-kernel-cache-check
 
 .PHONY: test lint lint-invariants bench-smoke bench-engine scenarios-smoke \
         bench-scenarios check-regression golden-diff fault-smoke \
-        telemetry-smoke atlas-smoke kernel-cache-check
+        telemetry-smoke atlas-smoke kernel-cache-check perfbench-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -153,6 +153,13 @@ atlas-smoke:
 	done
 	$(PY) -m pytest tests/scenarios/test_atlas_store.py \
 	    tests/scenarios/test_atlas_runner.py tests/scenarios/test_atlas_cli.py -q
+
+# Pipeline-benchmark smoke, exactly as CI runs it: a one-second traced
+# run of every BENCHMARK.json workload, each required to end with
+# "correct": true and "failed": 0 (renamed binding sites, digest drift
+# and non-identical replays all fail it).
+perfbench-smoke:
+	$(PY) benchmarks/perfbench_smoke.py
 
 # CI kernel-cache gate: with REPRO_KERNEL_CACHE pointing at a persisted
 # cache directory (actions/cache keeps it across runs), populate it once,

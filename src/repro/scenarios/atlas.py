@@ -45,13 +45,14 @@ from typing import Iterable, Optional, Union
 from ..telemetry import current as _telemetry
 from .runner import ScenarioResult
 from .spec import ScenarioError
-from .store import comparable, validate_payload
+from .store import comparable, dump_payload_text, validate_payload, write_atomic
 
 __all__ = [
     "AtlasStore",
     "ATLAS_SCHEMA_VERSION",
     "DEFAULT_ATLAS_PATH",
     "create_v0_db",
+    "dump_payload_text",
 ]
 
 #: Current atlas schema version (``atlas_meta['schema_version']``).
@@ -64,12 +65,6 @@ DEFAULT_ATLAS_PATH = pathlib.Path("benchmarks") / "atlas.sqlite"
 BUSY_TIMEOUT_MS = 10_000
 
 _HEX = set("0123456789abcdef")
-
-
-def dump_payload_text(payload: dict) -> str:
-    """Exactly ``ResultStore.save``'s serialization, so a payload stored
-    here and a payload stored as a loose JSON file are byte-identical."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # Individual statements, executed one by one: ``executescript`` would
@@ -363,9 +358,10 @@ class AtlasStore:
     def save(self, result: ScenarioResult) -> pathlib.Path:
         """Upsert a completed run under its scenario name.  Returns the
         database path (the ``ResultStore.save`` contract returns where
-        the result now lives)."""
-        payload = result.to_payload()
-        self._upsert(result.name, payload, dump_payload_text(payload))
+        the result now lives).  The row holds :meth:`ScenarioResult.
+        persisted`'s text, the same bytes ``ResultStore.save`` writes."""
+        payload, text = result.persisted()
+        self._upsert(result.name, payload, text)
         return self.path
 
     def import_file(
@@ -383,6 +379,7 @@ class AtlasStore:
             ) from None
         if name is None:
             name = path.stem
+        validate_payload(payload)
         self._upsert(name, payload, text)
         return name
 
@@ -403,7 +400,8 @@ class AtlasStore:
         return imported
 
     def _upsert(self, name: str, payload: dict, text: str) -> None:
-        validate_payload(payload)
+        """Store ``text`` under ``name``; ``payload`` is its validated
+        parse, whose rows must match any row already stored there."""
         cols = _provenance_columns(payload)
         conn = self._conn
         conn.execute("BEGIN IMMEDIATE")
@@ -511,12 +509,7 @@ class AtlasStore:
             raise ScenarioError(f"no atlas result named {name!r} in {self.path}")
         out = pathlib.Path(out_dir) / f"{name}.json"
         out.parent.mkdir(parents=True, exist_ok=True)
-        tmp = out.with_name(out.name + ".tmp")
-        try:
-            tmp.write_text(text)
-            os.replace(tmp, out)
-        finally:
-            tmp.unlink(missing_ok=True)
+        write_atomic(out, text)
         return out
 
     def export_all(self, out_dir: Union[str, pathlib.Path]) -> list[pathlib.Path]:

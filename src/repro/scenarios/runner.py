@@ -95,6 +95,10 @@ class ScenarioResult:
     from the atlas (:mod:`repro.scenarios.atlas`) — ``to_payload``
     returns that stored document verbatim, so an atlas hit re-saved
     through any store is byte-identical to the original export.
+
+    Both stores persist :meth:`persisted`: the payload built, validated
+    and encoded once per result, so saving one result to the atlas and
+    to a results directory writes the same text from one encode.
     """
 
     spec: ScenarioSpec
@@ -105,6 +109,9 @@ class ScenarioResult:
     telemetry: Optional[dict] = field(default=None)
     created_unix: Optional[float] = field(default=None)
     cached_payload: Optional[dict] = field(default=None)
+    _persisted: Optional[tuple[dict, str]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def name(self) -> str:
@@ -147,6 +154,23 @@ class ScenarioResult:
         if self.telemetry is not None:
             payload["telemetry"] = self.telemetry
         return payload
+
+    def persisted(self) -> tuple[dict, str]:
+        """``(payload, text)``: :meth:`to_payload` validated by
+        ``store.validate_payload`` and encoded by
+        ``store.dump_payload_text``, each once per result.  Memoized:
+        a result is persisted as it stood on the first call."""
+        if self._persisted is None:
+            from .store import dump_payload_text, validate_payload
+
+            payload = self.to_payload()
+            validate_payload(payload)
+            self._persisted = (payload, dump_payload_text(payload))
+        return self._persisted
+
+    def payload_text(self) -> str:
+        """The canonical JSON text both result stores write."""
+        return self.persisted()[1]
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ScenarioResult":

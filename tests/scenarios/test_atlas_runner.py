@@ -1,9 +1,13 @@
 """Tests for Runner memoization through the atlas: miss -> hit, zero
 backend dispatch on hits, and byte-identical replay."""
 
+import sqlite3
+
 import pytest
 
 from repro.scenarios import AtlasStore, Runner
+from repro.scenarios import atlas as atlas_module
+from repro.scenarios import store as store_module
 from repro.scenarios.atlas import dump_payload_text
 from repro.scenarios.store import ResultStore
 from repro.telemetry import Telemetry
@@ -36,6 +40,37 @@ class TestMemoization:
         warm_path = store.save(warm)
         assert warm_path.read_bytes() == cold_bytes
         assert dump_payload_text(warm.to_payload()).encode() == cold_bytes
+
+    def test_cold_run_and_save_encode_and_validate_once(self, db, tmp_path,
+                                                        monkeypatch):
+        # `scenarios run --atlas --save`: the atlas row and the results
+        # file are one text, from one encode and one validation.
+        calls = {"dump_payload_text": 0, "validate_payload": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (store_module, atlas_module):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counted(name, getattr(module, name)))
+        with AtlasStore(db) as atlas:
+            result = Runner(atlas=atlas).run("delays-line")
+            saved = ResultStore(tmp_path / "out").save(result)
+        assert calls == {"dump_payload_text": 1, "validate_payload": 1}
+        conn = sqlite3.connect(str(db))
+        try:
+            (stored,) = conn.execute(
+                "SELECT payload FROM results WHERE name=?", (result.name,)
+            ).fetchone()
+        finally:
+            conn.close()
+        text = dump_payload_text(result.to_payload())
+        assert stored.encode() == saved.read_bytes() == text.encode()
 
     def test_path_configured_atlas_opens_once(self, db):
         runner = Runner(atlas=db)

@@ -119,6 +119,30 @@ class TestRoundTrip:
             out = atlas.export("verify-small", tmp_path / "exported")
         assert out.read_bytes() == loose.read_bytes()
 
+    def test_interleaved_exports_of_one_name_both_land(self, db, result, tmp_path,
+                                                       monkeypatch):
+        # As for ResultStore.save: a second export of the same name runs
+        # start to finish while the first waits to publish its temp file.
+        import os
+
+        out_dir = tmp_path / "exported"
+        real_replace = os.replace
+        sources = []
+        with AtlasStore(db) as atlas:
+            atlas.save(result)
+
+            def interleaved(src, dst):
+                sources.append(src)
+                if len(sources) == 1:
+                    atlas.export("verify-small", out_dir)
+                real_replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", interleaved)
+            out = atlas.export("verify-small", out_dir)
+        assert len(set(sources)) == 2
+        assert out.read_text() == result.payload_text()
+        assert [p.name for p in out_dir.iterdir()] == ["verify-small.json"]
+
     def test_import_tree_golden_round_trip(self, db, result, tmp_path):
         # A results tree built here, not the working tree's
         # benchmarks/results/: the checked-in goldens under golden/ plus

@@ -12,6 +12,7 @@ from repro.scenarios import (
     diff_payloads,
     validate_payload,
 )
+from repro.scenarios.store import _join_blocks, dump_payload_text
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 GOLDEN_DIR = REPO_ROOT / "benchmarks" / "results" / "golden"
@@ -135,6 +136,44 @@ class TestRobustPersistence:
         # The temp file is gone and no half-written target appeared.
         assert list(tmp_path.iterdir()) == []
 
+    def test_interleaved_saves_of_one_name_both_land(self, result, tmp_path,
+                                                     monkeypatch):
+        # Writer A pauses between writing its temp file and publishing it
+        # while writer B saves the same name start to finish.  A temp
+        # path shared by both writers gets published or unlinked by B,
+        # and A's os.replace then raises FileNotFoundError.
+        import dataclasses
+        import os
+
+        store = ResultStore(tmp_path)
+        other = dataclasses.replace(result, elapsed_seconds=result.elapsed_seconds + 1)
+        assert other.to_payload() != result.to_payload()
+        real_replace = os.replace
+        sources = []
+
+        def interleaved(src, dst):
+            sources.append(src)
+            if len(sources) == 1:
+                store.save(other)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interleaved)
+        path = store.save(result)
+        assert len(set(sources)) == 2
+        assert json.loads(path.read_text()) == result.to_payload()  # A published last
+        assert [p.name for p in tmp_path.iterdir()] == ["delays-line.json"]
+
+    def test_saved_file_mode_follows_the_umask(self, result, tmp_path):
+        import os
+        import stat
+
+        mask = os.umask(0o027)
+        try:
+            path = ResultStore(tmp_path).save(result)
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
     def test_corrupt_json_is_quarantined_not_fatal_forever(self, result, tmp_path):
         store = ResultStore(tmp_path)
         path = store.save(result)
@@ -181,6 +220,27 @@ class TestValidation:
             validate_payload(payload)
 
 
+class TestCanonicalText:
+    """``dump_payload_text`` joins encoder chunks in blocks; the text
+    must stay exactly ``json.dumps(indent=2, sort_keys=True)``'s."""
+
+    def test_equals_json_dumps_across_many_blocks(self, result):
+        payload = result.to_payload()
+        payload["rows"] = [
+            {"pair": f"{i},{i + 3}", "delay": i, "round": None if i % 3 else 2.5 * i,
+             "met": bool(i % 2), "path": [i, "x", None]}
+            for i in range(3000)
+        ]
+        assert dump_payload_text(payload) == (
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 8192])
+    def test_join_blocks_is_join(self, size):
+        chunks = [str(i) * (i % 4) for i in range(50)]
+        assert _join_blocks(iter(chunks), size) == "".join(chunks)
+
+
 class TestDiff:
     def test_equivalent(self, result):
         assert diff_payloads(result.to_payload(), result.to_payload()) == []
@@ -223,6 +283,11 @@ class TestGoldenSample:
         payload = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
         validate_payload(payload)
         assert payload["scenario"] == name
+
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_golden_text_is_canonical(self, name):
+        text = (GOLDEN_DIR / f"{name}.json").read_text()
+        assert dump_payload_text(json.loads(text)) == text
 
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_golden_matches_fresh_run(self, name):
